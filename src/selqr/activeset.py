@@ -38,8 +38,10 @@ def solve_qp(Q: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray,
              x0: np.ndarray, max_iter: int | None = None) -> QPSolution:
     """Run the active-set iteration from a feasible starting point x0.
 
-    max_iter defaults to 100*(dim+1). Raises NumericalError if x0 is
-    infeasible or the cap is hit.
+    max_iter defaults to 100*(dim+1) + len(b): each iteration adds or drops
+    one working-set row, and large constraint sets (the cone projection's
+    grows with the sample) can take more steps than a cap in dim alone
+    allows. Raises NumericalError if x0 is infeasible or the cap is hit.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -48,7 +50,7 @@ def solve_qp(Q: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray,
     x = np.asarray(x0, dtype=float).copy()
     dim = len(x)
     if max_iter is None:
-        max_iter = 100 * (dim + 1)
+        max_iter = 100 * (dim + 1) + len(b)
     if (A @ x - b).min() < -1e-9:
         raise NumericalError("active-set start point is infeasible")
 

@@ -8,7 +8,6 @@ hash and package version, never timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -137,10 +136,9 @@ def cmd_cdf(config: RunConfig, data) -> list[tuple[float, float, float]]:
 
 
 def _write_cdf_csv(rows, stream):
-    writer = csv.writer(stream)
-    writer.writerow(["y", "cdf_corrected", "cdf_empirical"])
-    for row in rows:
-        writer.writerow([repr(v) for v in row])
+    # the bytes csv.writer gives: repr of each float, "\r\n" line ends
+    stream.write("y,cdf_corrected,cdf_empirical\r\n")
+    stream.write("".join(f"{y!r},{c!r},{e!r}\r\n" for y, c, e in rows))
 
 
 def _add_basis_flags(p):

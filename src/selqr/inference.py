@@ -32,6 +32,8 @@ log = logging.getLogger(__name__)
 DENSITY_FLOOR = 1e-12
 CONSTANT_DIM_TOL = 1e-8
 PSD_CLIP_TOL = 1e-10
+CV_BLOCK_ROWS = 64       # rows of the pairwise difference array per cv block
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 def default_bandwidths(V: np.ndarray) -> np.ndarray:
@@ -46,12 +48,34 @@ def default_bandwidths(V: np.ndarray) -> np.ndarray:
     return 1.06 * sd * m ** (-1.0 / (4 + d_total))
 
 
+def _gauss(u: np.ndarray, h, out: np.ndarray) -> np.ndarray:
+    """Scaled Gaussian kernel norm.pdf(u / h) / h, written into out (may be u).
+
+    Evaluates scipy's own expression exp(-x**2/2.0) / sqrt(2*pi) one step
+    at a time in place, so every value is bit-identical to
+    scipy.stats.norm.pdf(u / h) / h: multiplying by -0.5 rounds the same
+    real number as negating and halving.
+    """
+    np.divide(u, h, out=out)
+    np.square(out, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= _SQRT_2PI
+    out /= h
+    return out
+
+
 def cv_bandwidths(V: np.ndarray, multipliers=None, max_rows: int = 2000) -> np.ndarray:
     """Least-squares cross-validation refinement of the rule-of-thumb.
 
     Scales all rule-of-thumb bandwidths by a common factor chosen to
     minimize the LSCV criterion of the joint product-Gaussian density on a
     (deterministically subsampled) grid of rows.
+
+    The sums over all m x m row pairs (m <= max_rows after subsampling) are
+    streamed over blocks of CV_BLOCK_ROWS rows: working memory is
+    (d + 2) * CV_BLOCK_ROWS * m floats (7 MB at m = 2000, d = 5), not
+    O(m^2 d).
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     h0 = default_bandwidths(V)
@@ -61,18 +85,44 @@ def cv_bandwidths(V: np.ndarray, multipliers=None, max_rows: int = 2000) -> np.n
         idx = np.unique(np.linspace(0, len(V) - 1, max_rows).round().astype(int))
         V = V[idx]
     m = len(V)
-    diffs = V[:, None, :] - V[None, :, :]
+    n_mult = len(multipliers)
+    k2_sum, k1_sum, k1_diag = np.zeros(n_mult), np.zeros(n_mult), np.zeros(n_mult)
+    rows = min(CV_BLOCK_ROWS, m)
+    diffs_buf = np.empty((V.shape[1], rows, m))     # one plane per column
+    k_buf, work_buf = np.empty((rows, m)), np.empty((rows, m))
+    for lo in range(0, m, CV_BLOCK_ROWS):
+        block = V[lo:lo + CV_BLOCK_ROWS]
+        diffs = diffs_buf[:, :len(block)]
+        for d in range(V.shape[1]):
+            np.subtract(block[:, d, None], V[None, :, d], out=diffs[d])
+        k, work = k_buf[:len(block)], work_buf[:len(block)]
+        for i, c in enumerate(multipliers):
+            h = c * h0
+            k2_sum[i] += _product_kernel(diffs, np.sqrt(2) * h, k, work).sum()
+            k1 = _product_kernel(diffs, h, k, work)
+            k1_sum[i] += k1.sum()
+            k1_diag[i] += np.trace(k1, offset=lo)
     best, best_score = 1.0, np.inf
-    for c in multipliers:
-        h = c * h0
-        k2 = np.prod(norm.pdf(diffs / (np.sqrt(2) * h)) / (np.sqrt(2) * h), axis=2)
-        k1 = np.prod(norm.pdf(diffs / h) / h, axis=2)
-        int_f2 = k2.sum() / m**2
-        loo = (k1.sum() - np.trace(k1)) / (m * (m - 1))
+    for c, s2, s1, t1 in zip(multipliers, k2_sum, k1_sum, k1_diag):
+        int_f2 = s2 / m**2
+        loo = (s1 - t1) / (m * (m - 1))
         score = int_f2 - 2.0 * loo
         if score < best_score:
             best, best_score = c, score
     return best * h0
+
+
+def _product_kernel(diffs: np.ndarray, h: np.ndarray, out: np.ndarray,
+                    work: np.ndarray) -> np.ndarray:
+    """prod_d K(diffs[d] / h[d]) / h[d] for the Gaussian K, written into out.
+
+    The product runs over the planes in order, as np.prod over a last axis
+    does; work is scratch of out's shape.
+    """
+    _gauss(diffs[0], h[0], out)
+    for d in range(1, len(diffs)):
+        out *= _gauss(diffs[d], h[d], work)
+    return out
 
 
 def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths,
@@ -85,6 +135,8 @@ def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths,
     bandwidths[0] belongs to the outcome kernel, the rest to the columns of
     v. v may have zero columns (plain KDE). Returns (density values,
     boolean mask of evaluations whose denominator hit the 1e-12 floor).
+    Evaluations run in chunks of `chunk` rows through two chunk x n_obs
+    buffers.
     """
     y_obs = np.asarray(y_obs, dtype=float)
     y_eval = np.asarray(y_eval, dtype=float)
@@ -99,16 +151,28 @@ def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths,
     out = np.empty(len(y_eval))
     floored = np.zeros(len(y_eval), dtype=bool)
     h0, hv = bandwidths[0], bandwidths[1:]
+    rows = min(chunk, len(y_eval))
+    kv_buf = np.empty((rows, len(y_obs)))
+    work_buf = np.empty((rows, len(y_obs)))
     for lo in range(0, len(y_eval), chunk):
         sl = slice(lo, lo + chunk)
-        kv = np.ones((len(y_eval[sl]), len(y_obs)))
+        kv = kv_buf[:len(y_eval[sl])]
+        work = work_buf[:len(kv)]
+        if v_obs.shape[1] == 0:
+            kv.fill(1.0)
         for d in range(v_obs.shape[1]):
-            u = (v_eval[sl, d, None] - v_obs[None, :, d]) / hv[d]
-            kv *= norm.pdf(u) / hv[d]
-        ky = norm.pdf((y_eval[sl, None] - y_obs[None, :]) / h0) / h0
+            # the first dimension's kernel is kv itself (1 * K == K exactly)
+            k = work if d else kv
+            np.subtract(v_eval[sl, d, None], v_obs[None, :, d], out=k)
+            _gauss(k, hv[d], k)
+            if d:
+                kv *= k
+        np.subtract(y_eval[sl, None], y_obs[None, :], out=work)
+        _gauss(work, h0, work)
         den = kv.sum(axis=1)
         floored[sl] = den < DENSITY_FLOOR
-        out[sl] = (ky * kv).sum(axis=1) / np.maximum(den, DENSITY_FLOOR)
+        work *= kv
+        out[sl] = work.sum(axis=1) / np.maximum(den, DENSITY_FLOOR)
     return out, floored
 
 

@@ -94,3 +94,55 @@ def probit_grid_max(d, X, lo=-5.0, hi=5.0):
         center = points[k]
         step /= 10
     return best, center
+
+
+def conditional_density_reference(y_obs, v_obs, y_eval, v_eval, bandwidths,
+                                  chunk: int = 512):
+    """Nadaraya-Watson conditional density built on scipy's norm.pdf, one
+    full temporary per kernel dimension; selqr's in-place kernels must
+    reproduce it bit for bit."""
+    y_obs = np.asarray(y_obs, dtype=float)
+    y_eval = np.asarray(y_eval, dtype=float)
+    v_obs = np.asarray(v_obs, dtype=float).reshape(len(y_obs), -1)
+    v_eval = np.asarray(v_eval, dtype=float).reshape(len(y_eval), -1)
+    bandwidths = np.asarray(bandwidths, dtype=float)
+    out = np.empty(len(y_eval))
+    floored = np.zeros(len(y_eval), dtype=bool)
+    h0, hv = bandwidths[0], bandwidths[1:]
+    for lo in range(0, len(y_eval), chunk):
+        sl = slice(lo, lo + chunk)
+        kv = np.ones((len(y_eval[sl]), len(y_obs)))
+        for d in range(v_obs.shape[1]):
+            u = (v_eval[sl, d, None] - v_obs[None, :, d]) / hv[d]
+            kv *= norm.pdf(u) / hv[d]
+        ky = norm.pdf((y_eval[sl, None] - y_obs[None, :]) / h0) / h0
+        den = kv.sum(axis=1)
+        floored[sl] = den < 1e-12
+        out[sl] = (ky * kv).sum(axis=1) / np.maximum(den, 1e-12)
+    return out, floored
+
+
+def cv_bandwidths_reference(V, multipliers=None, max_rows: int = 2000):
+    """LSCV bandwidth choice over the full m x m x d difference array with
+    scipy's norm.pdf kernels."""
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    m_all, d_total = V.shape
+    h0 = 1.06 * V.std(axis=0, ddof=1) * m_all ** (-1.0 / (4 + d_total))
+    if multipliers is None:
+        multipliers = np.linspace(0.3, 2.0, 12)
+    if len(V) > max_rows:
+        idx = np.unique(np.linspace(0, len(V) - 1, max_rows).round().astype(int))
+        V = V[idx]
+    m = len(V)
+    diffs = V[:, None, :] - V[None, :, :]
+    best, best_score = 1.0, np.inf
+    for c in multipliers:
+        h = c * h0
+        k2 = np.prod(norm.pdf(diffs / (np.sqrt(2) * h)) / (np.sqrt(2) * h), axis=2)
+        k1 = np.prod(norm.pdf(diffs / h) / h, axis=2)
+        int_f2 = k2.sum() / m**2
+        loo = (k1.sum() - np.trace(k1)) / (m * (m - 1))
+        score = int_f2 - 2.0 * loo
+        if score < best_score:
+            best, best_score = c, score
+    return best * h0

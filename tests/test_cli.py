@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -6,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from selqr import (ColumnMap, InputError, SimulationSpec, generate,
                    ingest_csv, write_csv)
-from selqr.cli import main, parse_column_map
+from selqr.cli import _write_cdf_csv, main, parse_column_map
 from conftest import toy_data
 
 
@@ -165,3 +167,19 @@ class TestCdfCommand:
         assert (np.diff(rows[:, 1]) >= 0).all()
         assert (np.diff(rows[:, 2]) >= 0).all()
         assert rows[-1, 1] == 1.0 and rows[-1, 2] == 1.0
+
+    def test_csv_bytes_match_csv_writer(self):
+        def via_csv_writer(rows):
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(["y", "cdf_corrected", "cdf_empirical"])
+            for row in rows:
+                writer.writerow([repr(v) for v in row])
+            return buf.getvalue()
+
+        rows = [(-0.0, 0.0, 1e-300), (1.0 / 3.0, 5e-324, 1.0),
+                (-1.5e17, float("nan"), float("inf")), (2.0, 0.25, 1e16)]
+        for sample in (rows, []):
+            got = io.StringIO()
+            _write_cdf_csv(sample, got)
+            assert got.getvalue() == via_csv_writer(sample)

@@ -1,6 +1,7 @@
 import dataclasses
 
 import numpy as np
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from selqr import (BasisPlan, BlockSpec, SimulationSpec, cone_project,
@@ -123,6 +124,26 @@ class TestConeProject:
             cand[:lead] += lift      # shifting the spline block by c adds c
             assert (A @ cand).min() >= 1.0 - 1e-9
             assert obj(fit.beta_c) <= obj(cand) + 1e-12
+
+
+    def test_admin_scale_sample_converges(self):
+        # about 133 000 constraint rows; the projection takes 790 active-set
+        # iterations, more than a cap of 100 * (J + 1) = 500 allows
+        data = generate(SimulationSpec("C", "M2", n=200000, reps=1, seed=2), 0).data
+        fit = cone_project(estimate_unconstrained(data), data)
+        assert fit.kkt["iterations"] > 500
+        phi_sel = fit.designs.phi[data.selected]
+        Q = phi_sel.T @ phi_sel / len(phi_sel)
+        q = Q @ fit.beta_u
+        A = fit.constraint_points
+        kkt = kkt_residuals(Q, q, A, np.ones(len(A)), fit.beta_c)
+        assert kkt["stationarity"] < 1e-6
+        assert kkt["feasibility"] < 1e-8
+        # certificate: the gradient is a nonnegative combination of the
+        # active constraint rows
+        active = A @ fit.beta_c - 1.0 <= 1e-7
+        _, residual = scipy.optimize.nnls(A[active].T, Q @ fit.beta_c - q)
+        assert residual < 1e-8
 
 
 class TestWeights:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,10 +8,12 @@ from selqr import (InputError, QuantileProblem, conditional_density,
                    confidence_intervals, covariance, cv_bandwidths,
                    default_bandwidths, solve)
 from selqr.estimator import fit_semiparametric_iv, fit_uncorrected
+from selqr.inference import CV_BLOCK_ROWS
 from selqr.first_stage import cone_project, estimate_unconstrained
 from selqr.qr import quantile_score
 from selqr.simlab import SimulationSpec, generate
 from conftest import toy_data
+from oracles import conditional_density_reference, cv_bandwidths_reference
 
 
 class TestDefaultBandwidths:
@@ -57,6 +61,57 @@ class TestConditionalDensity:
         with pytest.raises(InputError, match="positive"):
             conditional_density(np.arange(5.0), np.zeros((5, 0)),
                                 np.array([0.0]), np.zeros((1, 0)), [0.0])
+
+
+class TestKernelExactness:
+    """The in-place kernels against scipy norm.pdf references, bit for bit."""
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_conditional_density_bit_identical(self, d):
+        rng = np.random.default_rng(20 + d)
+        y = 2.0 * rng.standard_normal(700)
+        v = rng.standard_normal((700, d))
+        h = default_bandwidths(np.column_stack([y, v]))
+        # 300 evaluations in chunks of 128 leave a short last chunk; the
+        # wide spread drives some kernels to underflow and some
+        # denominators to the floor
+        y_eval = 6.0 * rng.standard_normal(300)
+        v_eval = 6.0 * rng.standard_normal((300, d))
+        f, floored = conditional_density(y, v, y_eval, v_eval, h, chunk=128)
+        f_ref, floored_ref = conditional_density_reference(
+            y, v, y_eval, v_eval, h, chunk=128)
+        assert np.array_equal(f, f_ref)
+        assert np.array_equal(floored, floored_ref)
+        if d:
+            assert floored.any() and not floored.all()
+
+    def test_cv_bandwidths_match_full_array_reference(self):
+        rng = np.random.default_rng(30)
+        m = 2 * CV_BLOCK_ROWS + 37
+        V = rng.standard_normal((m, 3)) * [1.0, 0.2, 5.0]
+        assert np.array_equal(cv_bandwidths(V), cv_bandwidths_reference(V))
+
+    def test_cv_bandwidths_match_reference_when_subsampling(self):
+        rng = np.random.default_rng(31)
+        V = rng.standard_normal((400, 2))
+        V[:, 1] += 0.5 * V[:, 0]
+        mult = np.linspace(0.2, 3.0, 15)
+        assert np.array_equal(cv_bandwidths(V, mult, max_rows=150),
+                              cv_bandwidths_reference(V, mult, max_rows=150))
+
+    def test_cv_bandwidths_memory_is_not_quadratic(self):
+        # one m x m x d float array at m = 2000, d = 3 is 96 MB; the
+        # docstring's bound is (d + 2) * CV_BLOCK_ROWS * m floats
+        m, d = 2000, 3
+        V = np.random.default_rng(32).standard_normal((m, d))
+        tracemalloc.start()
+        try:
+            cv_bandwidths(V, multipliers=[1.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert peak < 1.25 * (d + 2) * CV_BLOCK_ROWS * m * 8
 
 
 class TestCovariance:
