@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .errors import NumericalError
 
@@ -103,13 +104,18 @@ def kkt_residuals(Q, q, A, b, x, active_tol: float = 1e-7) -> dict:
 
     Multipliers are recomputed by least squares on the constraints active at
     x, independent of how x was obtained, so this audits any candidate
-    solution.
+    solution. When more rows are active than there are variables, the
+    minimum-norm least-squares multipliers can be negative at a true
+    optimum; they are then recomputed by nonnegative least squares on the
+    same rows, whose residual is the reported stationarity.
     """
     grad = Q @ x - q
     resid = A @ x - b
     active = np.where(resid <= active_tol * max(1.0, np.abs(b).max()))[0]
     if active.size:
         lam, *_ = np.linalg.lstsq(A[active].T, grad, rcond=None)
+        if lam.min() < 0.0:
+            lam, _ = nnls(A[active].T, grad)
         stationarity = float(np.abs(grad - A[active].T @ lam).max())
         min_multiplier = float(lam.min())
         complementarity = float(np.abs(lam * resid[active]).max())
@@ -120,7 +126,7 @@ def kkt_residuals(Q, q, A, b, x, active_tol: float = 1e-7) -> dict:
         complementarity = 0.0
     return {
         "stationarity": stationarity,
-        "feasibility": float(-min(resid.min(), 0.0)),
+        "feasibility": max(0.0, -float(resid.min())),
         "min_multiplier": min_multiplier,
         "complementarity": complementarity,
         "n_active": int(active.size),

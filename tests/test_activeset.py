@@ -62,3 +62,19 @@ class TestSolveQP:
             assert kkt["feasibility"] <= 1e-8
             assert kkt["min_multiplier"] >= -1e-7
             assert kkt["complementarity"] <= 1e-6
+
+    def test_kkt_audit_degenerate_optimum(self):
+        # three active rows for two variables: the minimum-norm least-squares
+        # multipliers are (0.333, 0.783, -0.117); nonnegative ones exist
+        Q = np.eye(2)
+        q = np.array([0.0, -0.9])
+        A = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+        b = np.ones(3)
+        sol = solve_qp(Q, q, A, b, np.array([2.0, 0.0]))
+        assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
+        kkt = kkt_residuals(Q, q, A, b, sol.x)
+        assert kkt["n_active"] == 3
+        assert kkt["min_multiplier"] >= 0.0
+        assert kkt["stationarity"] <= 1e-12
+        assert_allclose(kkt["multipliers"], [0.0, 0.95, 0.05], atol=1e-12)
+        assert str(kkt["feasibility"]) == "0.0"     # not -0.0

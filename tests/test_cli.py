@@ -103,6 +103,14 @@ class TestFitCommand:
         assert main(["fit", "--data", "/nope.csv", "--map",
                      "d=d,y=y,w=w0"]) == 2
 
+    def test_short_row_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "short.csv"
+        p.write_text("d,y,w0,x0\n1,2.0,0.5,0.1\n1,3.0\n")
+        for command in ("fit", "cdf"):
+            assert main([command, "--data", str(p), "--map",
+                         "d=d,y=y,w=w0,x=x0"]) == 2
+            assert "row has 2 of 4 fields at line 3" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # duplicated column makes the quantile design rank deficient
         rows = ["d,y,w0,x0"]

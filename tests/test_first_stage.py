@@ -139,6 +139,7 @@ class TestConeProject:
         kkt = kkt_residuals(Q, q, A, np.ones(len(A)), fit.beta_c)
         assert kkt["stationarity"] < 1e-6
         assert kkt["feasibility"] < 1e-8
+        assert kkt["min_multiplier"] >= 0.0   # 40 active rows for J = 4
         # certificate: the gradient is a nonnegative combination of the
         # active constraint rows
         active = A @ fit.beta_c - 1.0 <= 1e-7
