@@ -8,7 +8,7 @@ the observed subsample is shifted wherever selection is outcome-dependent.
 
 import numpy as np
 
-from selqr import SimulationSpec, corrected_cdf, generate, quantile_from_cdf
+from selqr import SimulationSpec, corrected_cdf, generate
 from selqr.first_stage import cone_project, estimate_unconstrained
 
 gd = generate(SimulationSpec("C", "M2", n=20000, reps=1, seed=23), 0)
@@ -35,7 +35,7 @@ print(f"{'tau':>6s} {'latent quantile':>16s} {'observed ECDF':>14s} "
 for tau in (0.1, 0.25, 0.5, 0.75, 0.9):
     q_lat = float(np.quantile(gd.y_star, tau))
     q_obs = float(np.quantile(data.y[data.selected], tau))
-    q_cor = quantile_from_cdf(cdf, tau)
+    q_cor = cdf.quantile(tau)
     print(f"{tau:6.2f} {q_lat:16.3f} {q_obs:14.3f} {q_cor:10.3f}")
 
 print()

@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 from .basis import (BasisPlan, BlockSpec, DesignMatrices, KnotVector,
                     build_designs, default_plan, eval_basis, make_knots)
-from .baselines import ProbitFit, mar_ipw_qr, probit_fit, uncorrected_qr
+from .baselines import ProbitFit, probit_fit
 from .data import ColumnMap, ObservationSet, ingest_csv, write_csv
-from .distribution import CorrectedCDF, corrected_cdf, quantile_from_cdf
+from .distribution import CorrectedCDF, corrected_cdf
 from .errors import InputError, NumericalError
 from .estimator import (QuantileFit, fit, fit_mar, fit_semiparametric_iv,
                         fit_uncorrected)
@@ -36,7 +36,6 @@ __all__ = [
     "corrected_cdf", "covariance", "cv_bandwidths", "default_bandwidths",
     "default_plan", "estimate_unconstrained", "eval_basis", "fit", "fit_mar",
     "fit_semiparametric_iv", "fit_uncorrected", "generate", "ingest_csv",
-    "make_knots", "mar_ipw_qr", "moment_residual", "probit_fit",
-    "quantile_from_cdf", "quantile_score", "run", "solve",
-    "subgradient_interval", "uncorrected_qr", "weights", "write_csv",
+    "make_knots", "moment_residual", "probit_fit", "quantile_score",
+    "run", "solve", "subgradient_interval", "weights", "write_csv",
 ]

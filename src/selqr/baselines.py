@@ -1,4 +1,4 @@
-"""Comparator estimators: complete-case QR and MAR probit-IPW QR."""
+"""Probit selection model and the MAR inverse-probability weights it gives."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from scipy.stats import norm
 
 from .data import ObservationSet
 from .errors import InputError, NumericalError
-from .qr import QuantileProblem, QuantileSolution, solve
 
 PROBIT_GRAD_TOL = 1e-8
 SEPARATION_BOUND = 30.0
@@ -82,12 +81,6 @@ def probit_fit(d: np.ndarray, X: np.ndarray, max_iter: int = 200) -> ProbitFit:
         f"gradient norm {np.abs(grad).max():.3e}")
 
 
-def uncorrected_qr(data: ObservationSet, tau: float) -> QuantileSolution:
-    """Complete-case quantile regression: weights are the selection dummies."""
-    return solve(QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan),
-                                 w=data.d.astype(float), tau=tau))
-
-
 def mar_weights(data: ObservationSet, trim_floor: float = 0.01):
     """Inverse probit probabilities under selection-on-observables."""
     Xd = np.column_stack([np.ones(data.n), data.x])
@@ -95,14 +88,3 @@ def mar_weights(data: ObservationSet, trim_floor: float = 0.01):
     p = np.maximum(pf.probabilities(Xd), trim_floor)
     return data.d / p, pf
 
-
-def mar_ipw_qr(data: ObservationSet, tau: float,
-               trim_floor: float = 0.01) -> QuantileSolution:
-    """Two-step MAR correction: probit on the covariates, then IPW QR.
-
-    Fitted selection probabilities are clamped below at trim_floor before
-    inverting.
-    """
-    omega, _ = mar_weights(data, trim_floor)
-    return solve(QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan),
-                                 w=omega, tau=tau))

@@ -1,8 +1,8 @@
 """Command-line surface: fit, simulate, cdf.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure. All outputs are
-deterministic functions of (config, data, seed); reports embed the config
-hash and package version, never timestamps.
+deterministic functions of (config, data); `simulate` also of its seed.
+Reports embed the config hash and package version, never timestamps.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, distribution, estimator, first_stage, simlab
-from .basis import BasisPlan, BlockSpec, make_knots
+from .basis import BasisPlan, default_plan
 from .data import ColumnMap, ingest_csv
 from .errors import InputError, NumericalError
 
@@ -30,7 +30,6 @@ class RunConfig:
     w_interior_knots: int = 2
     bandwidth_mode: str = "rot"
     trim_floor: float = 0.01
-    seed: int = 0
     estimators: tuple[str, ...] = ("semiparametric_iv",)
     level: float = 0.95
 
@@ -43,6 +42,9 @@ class RunConfig:
             raise InputError("interior knot counts must be >= 0")
         if self.bandwidth_mode not in ("rot", "cv"):
             raise InputError("bandwidth mode must be 'rot' or 'cv'")
+        unknown = set(self.estimators) - set(estimator.ESTIMATOR_NAMES)
+        if unknown:
+            raise InputError(f"unknown estimator(s) {sorted(unknown)}")
 
     def to_dict(self) -> dict:
         return {
@@ -51,7 +53,7 @@ class RunConfig:
             "w_degree": self.w_degree,
             "w_interior_knots": self.w_interior_knots,
             "bandwidth_mode": self.bandwidth_mode,
-            "trim_floor": self.trim_floor, "seed": self.seed,
+            "trim_floor": self.trim_floor,
             "estimators": list(self.estimators), "level": self.level,
         }
 
@@ -77,37 +79,20 @@ def parse_column_map(text: str) -> ColumnMap:
                      w_columns=parts["w"], x_columns=parts.get("x", ()))
 
 
-def build_plan(data, config: RunConfig) -> BasisPlan:
-    x_vars = tuple(f"x{i}" for i in range(data.x.shape[1]))
-    extra_w = tuple(f"w{i}" for i in range(1, data.w.shape[1]))
-    y_kv = make_knots(data.y[data.selected], config.y_interior_knots,
-                      config.y_degree)
-    w_kv = make_knots(data.w[:, 0], config.w_interior_knots, config.w_degree)
-    return BasisPlan(phi=BlockSpec("y", y_kv, x_vars),
-                     b=BlockSpec("w0", w_kv, extra_w + x_vars))
-
-
 def cmd_fit(config: RunConfig, data) -> dict:
     """Run the requested estimators at every tau; return the report dict."""
-    estimates = []
-    plan = None
+    keywords = {"mar": {"trim_floor": config.trim_floor}}
     if "semiparametric_iv" in config.estimators:
-        plan = build_plan(data, config)
+        # only then, so a knot error cannot fail a run that does not use it
+        keywords["semiparametric_iv"] = {"plan": default_plan(
+            data, config.y_degree, config.y_interior_knots,
+            config.w_degree, config.w_interior_knots)}
+    estimates = []
     for tau in config.taus:
         for name in config.estimators:
-            if name == "semiparametric_iv":
-                qf = estimator.fit_semiparametric_iv(
-                    data, tau, plan=plan, level=config.level,
-                    bandwidth_mode=config.bandwidth_mode)
-            elif name == "mar":
-                qf = estimator.fit_mar(data, tau, trim_floor=config.trim_floor,
-                                       level=config.level,
-                                       bandwidth_mode=config.bandwidth_mode)
-            elif name == "uncorrected":
-                qf = estimator.fit_uncorrected(data, tau, level=config.level,
-                                               bandwidth_mode=config.bandwidth_mode)
-            else:
-                raise InputError(f"unknown estimator {name!r}")
+            qf = estimator.fit(data, tau, name, level=config.level,
+                               bandwidth_mode=config.bandwidth_mode,
+                               **keywords.get(name, {}))
             estimates.append({
                 "tau": tau,
                 "estimator": name,
@@ -122,9 +107,8 @@ def cmd_fit(config: RunConfig, data) -> dict:
             "config": config.to_dict(), "estimates": estimates}
 
 
-def cmd_cdf(config: RunConfig, data) -> list[tuple[float, float, float]]:
+def cmd_cdf(data, plan: BasisPlan) -> list[tuple[float, float, float]]:
     """(y, corrected F, empirical F) on the selected outcome grid."""
-    plan = build_plan(data, config)
     fs = first_stage.estimate_unconstrained(data, plan)
     fs = first_stage.cone_project(fs, data)
     corrected = distribution.corrected_cdf(fs, data)
@@ -146,9 +130,6 @@ def _add_basis_flags(p):
     p.add_argument("--y-interior-knots", type=int, default=0)
     p.add_argument("--w-degree", type=int, default=2)
     p.add_argument("--w-interior-knots", type=int, default=2)
-    p.add_argument("--bandwidth-mode", choices=("rot", "cv"), default="rot")
-    p.add_argument("--trim-floor", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,6 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of "
                             "uncorrected,mar,semiparametric_iv")
     _add_basis_flags(p_fit)
+    p_fit.add_argument("--bandwidth-mode", choices=("rot", "cv"), default="rot")
+    p_fit.add_argument("--trim-floor", type=float, default=0.01)
     p_fit.add_argument("--out", help="report JSON path (default: stdout)")
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo harness")
@@ -196,7 +179,6 @@ def _run(args) -> int:
             y_degree=args.y_degree, y_interior_knots=args.y_interior_knots,
             w_degree=args.w_degree, w_interior_knots=args.w_interior_knots,
             bandwidth_mode=args.bandwidth_mode, trim_floor=args.trim_floor,
-            seed=args.seed,
             estimators=tuple(e.strip() for e in args.estimators.split(",")))
         data = ingest_csv(args.data, parse_column_map(args.map))
         report = cmd_fit(config, data)
@@ -221,13 +203,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "cdf":
-        config = RunConfig(
-            y_degree=args.y_degree, y_interior_knots=args.y_interior_knots,
-            w_degree=args.w_degree, w_interior_knots=args.w_interior_knots,
-            bandwidth_mode=args.bandwidth_mode, trim_floor=args.trim_floor,
-            seed=args.seed)
         data = ingest_csv(args.data, parse_column_map(args.map))
-        rows = cmd_cdf(config, data)
+        rows = cmd_cdf(data, default_plan(
+            data, args.y_degree, args.y_interior_knots,
+            args.w_degree, args.w_interior_knots))
         if args.out:
             with open(args.out, "w", newline="") as fh:
                 _write_cdf_csv(rows, fh)

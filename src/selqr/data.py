@@ -110,33 +110,41 @@ class ColumnMap:
             raise InputError("column map needs at least one instrument column")
 
 
-def _parse_cell(raw: str, col: str, line: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise InputError(f"column '{col}' not parseable as a number at line {line}") from None
+def _row_error(row, n_fields, need, di, yi, numeric, y_name) -> str | None:
+    """The first check a row fails, without its line; None if it passes.
 
-
-def _raise_first_error(rows, first_line, n_fields, need, di, yi, numeric, y_name):
-    """Scan a chunk that failed a bulk check row by row; raise its first error.
-
-    Per row the checks run in order: field count, d, a missing y, y, then
-    each w and x column. Earlier chunks passed every check, so this is the
-    first error in the file.
+    The checks run in order: field count, d, a missing y, y, then each w
+    and x column.
     """
-    for line, row in enumerate(rows, start=first_line):
-        if len(row) < need:
-            raise InputError(f"row has {len(row)} of {n_fields} fields at line {line}")
-        draw = row[di].strip()
-        if draw not in _BINARY:
-            raise InputError(f"non-binary selection indicator {draw!r} at line {line}")
-        yraw = row[yi].strip()
-        if draw == "1" and yraw == "":
-            raise InputError(f"observed row missing outcome at line {line}")
-        if yraw:
-            _parse_cell(yraw, y_name, line)
-        for c, i in numeric:
-            _parse_cell(row[i], c, line)
+    if len(row) < need:
+        return f"row has {len(row)} of {n_fields} fields"
+    draw = row[di].strip()
+    if draw not in _BINARY:
+        return f"non-binary selection indicator {draw!r}"
+    yraw = row[yi].strip()
+    if draw == "1" and yraw == "":
+        return "observed row missing outcome"
+    cells = [(y_name, yraw)] if yraw else []
+    for col, raw in cells + [(c, row[i]) for c, i in numeric]:
+        try:
+            float(raw)
+        except ValueError:
+            return f"column '{col}' not parseable as a number"
+    return None
+
+
+def _file_line(path, row_number: int) -> int:
+    """Line of the file on which its row_number-th data row ends.
+
+    Data rows are counted from 1 after the header, skipping blank lines, as
+    ingest_csv reads them. Only the error path calls this, so reading rows
+    never tracks lines.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        next(itertools.islice(filter(None, reader), row_number - 1, None))
+        return reader.line_num
 
 
 def _float_column(cells) -> np.ndarray:
@@ -167,8 +175,8 @@ def ingest_csv(path, colmap: ColumnMap) -> ObservationSet:
     """Read a headered CSV into an ObservationSet.
 
     d must be 0/1; the y field may be empty only where d = 0; every w and x
-    field must be present on every row. Errors name the offending line
-    (header = line 1, blank lines not counted).
+    field must be present on every row. Errors name the line of the file
+    on which the offending row ends (header = line 1, blank lines counted).
 
     Fields are split by `csv.reader` (excel dialect) and d and y are
     stripped, so a whitespace-only y is missing. Every number is parsed by
@@ -196,15 +204,20 @@ def ingest_csv(path, colmap: ColumnMap) -> ObservationSet:
         numeric = [(c, index[c]) for c in (*colmap.w_columns, *colmap.x_columns)]
         need = 1 + max(index[c] for c in needed)
         rows_in = filter(None, reader)   # drop blank lines
-        chunks, line = [], 2
+        chunks, n_read = [], 0
         while rows := list(itertools.islice(rows_in, INGEST_CHUNK_ROWS)):
             try:
                 chunks.append(_convert_chunk(rows, need, di, yi, numeric))
             except ValueError:
-                _raise_first_error(rows, line, len(header), need, di, yi, numeric,
-                                   colmap.y_column)
+                # earlier chunks passed every check: the first row that fails
+                # here is the first error in the file
+                for k, row in enumerate(rows, start=n_read + 1):
+                    error = _row_error(row, len(header), need, di, yi, numeric,
+                                       colmap.y_column)
+                    if error:
+                        raise InputError(f"{error} at line {_file_line(path, k)}")
                 raise   # only if the scan and the bulk checks disagree
-            line += len(rows)
+            n_read += len(rows)
     if not chunks:
         raise InputError(f"{path}: no data rows")
     d, y, wx = (np.concatenate(parts) for parts in zip(*chunks))

@@ -73,6 +73,3 @@ def corrected_cdf(fit: FirstStageFit, data: ObservationSet,
     omega = weights(fit, data, mode=mode).omega
     return CorrectedCDF.from_values(data.y[data.selected], omega[data.selected])
 
-
-def quantile_from_cdf(cdf: CorrectedCDF, tau: float) -> float:
-    return cdf.quantile(tau)

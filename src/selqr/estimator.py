@@ -1,8 +1,11 @@
-"""End-to-end estimation drivers shared by the CLI and the simulation lab.
+"""One estimation driver shared by the CLI and the simulation lab.
 
-Each driver runs one estimator at one quantile level and returns a
-QuantileFit bundling the point estimate, the plug-in covariance, the
-confidence intervals and per-estimator diagnostics.
+Every estimator is a weighted quantile regression plus plug-in inference,
+run by `_weighted_fit`. Three weight providers differ only in where the
+weights come from: `fit_semiparametric_iv` (first stage, cone projection,
+inverse selection probabilities, first-stage-corrected covariance),
+`fit_uncorrected` (the selection dummies) and `fit_mar` (inverse probit
+probabilities, treated as known). `fit` dispatches on the name.
 """
 
 from __future__ import annotations
@@ -37,6 +40,26 @@ class QuantileFit:
     first_stage: first_stage.FirstStageFit | None = None
 
 
+def _weighted_fit(data: ObservationSet, tau: float, name: str,
+                  omega: np.ndarray, level: float, bandwidth_mode: str,
+                  diagnostics: dict,
+                  fs: first_stage.FirstStageFit | None = None) -> QuantileFit:
+    """Weighted QR and plug-in covariance for weights omega.
+
+    With a first-stage fit fs the covariance carries the first-stage
+    correction; without one it is the weights-known sandwich.
+    """
+    qsol = solve(QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan),
+                                 w=omega, tau=tau))
+    cov = inference.covariance(fs, qsol, data, omega=omega, level=level,
+                               bandwidth_mode=bandwidth_mode)
+    return QuantileFit(tau=tau, estimator=name, theta=qsol.theta,
+                       sigma=cov.sigma, se=cov.se, ci=cov.ci, level=level,
+                       labels=tuple(data.z_labels()),
+                       diagnostics={"n_selected": data.n_selected, **diagnostics},
+                       qsol=qsol, first_stage=fs)
+
+
 def fit_semiparametric_iv(data: ObservationSet, tau: float,
                           plan: BasisPlan | None = None, level: float = 0.95,
                           bandwidth_mode: str = "rot",
@@ -47,59 +70,47 @@ def fit_semiparametric_iv(data: ObservationSet, tau: float,
     fs = first_stage.estimate_unconstrained(data, plan)
     fs = first_stage.cone_project(fs, data)
     wv = first_stage.weights(fs, data, mode=weight_mode)
-    qsol = solve(QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan),
-                                 w=wv.omega, tau=tau))
-    cov = inference.covariance(fs, qsol, data, omega=wv.omega, level=level,
-                               bandwidth_mode=bandwidth_mode)
-    resid = first_stage.moment_residual(fs)
     diagnostics = {
-        "moment_residual_max": float(np.abs(resid).max()),
+        "moment_residual_max": float(np.abs(first_stage.moment_residual(fs)).max()),
         "cone_active_constraints": int(fs.kkt["active_set_size"]),
         "cone_kkt_stationarity": float(fs.kkt["stationarity"]),
-        "n_selected": data.n_selected,
         "weight_mode": weight_mode,
         "mean_weight": float(wv.omega[data.selected].mean()),
     }
-    return QuantileFit(tau=tau, estimator="semiparametric_iv", theta=qsol.theta,
-                       sigma=cov.sigma, se=cov.se, ci=cov.ci, level=level,
-                       labels=tuple(data.z_labels()), diagnostics=diagnostics,
-                       qsol=qsol, first_stage=fs)
+    return _weighted_fit(data, tau, "semiparametric_iv", wv.omega, level,
+                         bandwidth_mode, diagnostics, fs=fs)
 
 
 def fit_uncorrected(data: ObservationSet, tau: float, level: float = 0.95,
                     bandwidth_mode: str = "rot") -> QuantileFit:
-    """Complete-case QR with the weights-known sandwich."""
-    qsol = baselines.uncorrected_qr(data, tau)
-    omega = data.d.astype(float)
-    cov = inference.covariance(None, qsol, data, omega=omega, level=level,
-                               bandwidth_mode=bandwidth_mode)
-    return QuantileFit(tau=tau, estimator="uncorrected", theta=qsol.theta,
-                       sigma=cov.sigma, se=cov.se, ci=cov.ci, level=level,
-                       labels=tuple(data.z_labels()),
-                       diagnostics={"n_selected": data.n_selected}, qsol=qsol)
+    """Complete-case QR: the weights are the selection dummies."""
+    return _weighted_fit(data, tau, "uncorrected", data.d.astype(float), level,
+                         bandwidth_mode, {})
 
 
 def fit_mar(data: ObservationSet, tau: float, trim_floor: float = 0.01,
             level: float = 0.95, bandwidth_mode: str = "rot") -> QuantileFit:
-    """Probit-IPW QR under selection-on-observables, weights treated as known."""
+    """Probit-IPW QR under selection-on-observables, weights treated as known.
+
+    Fitted selection probabilities are clamped below at trim_floor before
+    inverting.
+    """
     omega, probit = baselines.mar_weights(data, trim_floor)
-    qsol = solve(QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan),
-                                 w=omega, tau=tau))
-    cov = inference.covariance(None, qsol, data, omega=omega, level=level,
-                               bandwidth_mode=bandwidth_mode)
-    diagnostics = {
-        "n_selected": data.n_selected,
-        "probit_iterations": probit.iterations,
-        "trim_floor": trim_floor,
-    }
-    return QuantileFit(tau=tau, estimator="mar", theta=qsol.theta,
-                       sigma=cov.sigma, se=cov.se, ci=cov.ci, level=level,
-                       labels=tuple(data.z_labels()), diagnostics=diagnostics,
-                       qsol=qsol)
+    diagnostics = {"probit_iterations": probit.iterations, "trim_floor": trim_floor}
+    return _weighted_fit(data, tau, "mar", omega, level, bandwidth_mode,
+                         diagnostics)
 
 
 def fit(data: ObservationSet, tau: float, estimator: str = "semiparametric_iv",
         **kwargs) -> QuantileFit:
+    """Run one estimator, named as in ESTIMATOR_NAMES, at quantile level tau.
+
+    Every estimator takes `level` and `bandwidth_mode`. Extra keywords:
+    `plan` and `weight_mode` for semiparametric_iv, `trim_floor` for mar,
+    none for uncorrected.
+    """
+    # the providers are looked up at call time, so rebinding a module
+    # attribute (as a tracer does) reaches every caller
     if estimator == "semiparametric_iv":
         return fit_semiparametric_iv(data, tau, **kwargs)
     if estimator == "uncorrected":

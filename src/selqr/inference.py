@@ -214,14 +214,13 @@ def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
 
 def covariance(fit: FirstStageFit | None, qsol: QuantileSolution,
                data: ObservationSet, omega: np.ndarray,
-               level: float = 0.95, bandwidth_mode: str = "rot",
-               first_stage_correction: bool = True) -> CovarianceEstimate:
+               level: float = 0.95,
+               bandwidth_mode: str = "rot") -> CovarianceEstimate:
     """Plug-in covariance for a weighted quantile fit.
 
-    With fit=None (or first_stage_correction=False) the correction term is
-    dropped and the estimate reduces to the weights-known sandwich; this is
-    the mode used for comparator estimators whose weights are treated as
-    fixed.
+    With fit=None the first-stage correction term is dropped and the
+    estimate reduces to the weights-known sandwich; this is the mode used
+    for comparator estimators whose weights are treated as fixed.
     """
     Z = data.design_z()
     n = data.n
@@ -264,7 +263,7 @@ def covariance(fit: FirstStageFit | None, qsol: QuantileSolution,
         raise NumericalError("density-weighted design singular")
 
     M0 = Z * (omega * psi)[:, None]
-    if fit is not None and first_stage_correction:
+    if fit is not None:
         T_hat = (fit.designs.phi * psi[:, None]).T @ Z / n
         Uj = 1.0 - fit.designs.phi @ fit.beta_u
         proj_rows = scipy.linalg.cho_solve(

@@ -139,23 +139,15 @@ REPORT_LABELS = ("intercept", "w", "x")
 _Z_TO_REPORT = np.array([0, 2, 1])
 
 
-def _default_fitters():
-    return {
-        "uncorrected": lambda gd, spec: est.fit_uncorrected(
-            gd.data, spec.tau, level=spec.level),
-        "mar": lambda gd, spec: est.fit_mar(gd.data, spec.tau, level=spec.level),
-        "semiparametric_iv": lambda gd, spec: est.fit_semiparametric_iv(
-            gd.data, spec.tau, level=spec.level),
-    }
-
-
 def _run_replication(spec: SimulationSpec, idx: int, fitters=None):
-    fitters = fitters or _default_fitters()
+    """Fit every estimator of spec to replication idx; `fitters` maps a name
+    to a stand-in `f(gd, spec) -> QuantileFit` (tests pass fakes)."""
     gd = generate(spec, idx)
     out = {}
     for name in spec.estimators:
         try:
-            qf = fitters[name](gd, spec)
+            qf = (fitters[name](gd, spec) if fitters else
+                  est.fit(gd.data, spec.tau, name, level=spec.level))
         except (NumericalError, np.linalg.LinAlgError) as exc:
             return {"index": idx, "error": f"{name}: {exc}"}
         out[name] = {

@@ -172,7 +172,8 @@ def ingest_csv_reference(path, colmap):
         if missing:
             raise InputError(f"{path}: missing column(s) {sorted(missing)}")
         d, y, w, x = [], [], [], []
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num
             draw = (row[colmap.d_column] or "").strip()
             if draw not in ("0", "1"):
                 raise InputError(f"non-binary selection indicator {draw!r} at line {line}")

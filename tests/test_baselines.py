@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
-from selqr import (NumericalError, QuantileProblem, SimulationSpec, generate,
-                   mar_ipw_qr, probit_fit, solve, uncorrected_qr)
+from selqr import (NumericalError, QuantileProblem, SimulationSpec, fit_mar,
+                   fit_uncorrected, generate, probit_fit, solve)
 from selqr.baselines import _probit_parts, mar_weights
 from oracles import probit_grid_max, probit_loglik
 
@@ -57,13 +57,13 @@ class TestProbit:
 
 class TestUncorrected:
     def test_equals_plain_qr_when_fully_observed(self, data_full):
-        sol = uncorrected_qr(data_full, 0.5)
+        sol = fit_uncorrected(data_full, 0.5).qsol
         plain = solve(QuantileProblem(Z=data_full.design_z(), y=data_full.y,
                                       w=np.ones(data_full.n), tau=0.5))
         assert_allclose(sol.theta, plain.theta, atol=1e-10)
 
     def test_only_selected_rows_enter(self, data_mnar):
-        sol = uncorrected_qr(data_mnar, 0.5)
+        sol = fit_uncorrected(data_mnar, 0.5).qsol
         assert np.isfinite(sol.theta).all()
 
 
@@ -74,7 +74,7 @@ class TestMarIPW:
         assert (positive <= 1 / 0.4 + 1e-12).all()
 
     def test_runs_on_mnar_sample(self, data_mnar):
-        sol = mar_ipw_qr(data_mnar, 0.5)
+        sol = fit_mar(data_mnar, 0.5).qsol
         assert np.isfinite(sol.theta).all()
 
     def test_bias_shrinks_with_n_under_mar_truth(self):
@@ -84,7 +84,10 @@ class TestMarIPW:
             errs = []
             for rep in range(reps):
                 gd = generate(SimulationSpec("A", "M1", n=n, reps=1, seed=77), rep)
-                sol = mar_ipw_qr(gd.data, 0.5)
+                data = gd.data
+                sol = solve(QuantileProblem(Z=data.design_z(),
+                                            y=data.y_filled(np.nan),
+                                            w=mar_weights(data)[0], tau=0.5))
                 errs.append(sol.theta - gd.theta_true)
             biases.append(np.abs(np.mean(errs, axis=0)).max())
         assert biases[2] < biases[0] + 0.01   # monotone within MC error

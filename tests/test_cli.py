@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from selqr import (ColumnMap, InputError, SimulationSpec, generate,
-                   ingest_csv, write_csv)
+from selqr import (ColumnMap, InputError, SimulationSpec, default_plan,
+                   fit_mar, fit_semiparametric_iv, generate, ingest_csv,
+                   write_csv)
 from selqr.cli import _write_cdf_csv, main, parse_column_map
 from conftest import toy_data
 
@@ -98,6 +99,47 @@ class TestFitCommand:
         report = json.loads(out.read_text())
         theta = np.array(report["estimates"][0]["theta"])
         assert_allclose(theta, gd.theta_true, atol=0.15)
+
+    def test_knobs_reach_the_library(self, tmp_path):
+        p, _ = _sim_csv(tmp_path)
+        out = tmp_path / "r.json"
+        assert main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
+                     "--y-interior-knots", "1", "--w-interior-knots", "3",
+                     "--trim-floor", "0.05", "--estimators",
+                     "mar,semiparametric_iv", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        data = ingest_csv(p, ColumnMap("d", "y", ("w0",), ("x0",)))
+        iv = fit_semiparametric_iv(data, 0.5, plan=default_plan(
+            data, y_interior=1, w_interior=3))
+        want = {"mar": fit_mar(data, 0.5, trim_floor=0.05),
+                "semiparametric_iv": iv}
+        assert [e["estimator"] for e in report["estimates"]] == list(want)
+        for e in report["estimates"]:
+            qf = want[e["estimator"]]
+            assert e["theta"] == qf.theta.tolist()
+            assert e["sigma"] == qf.sigma.tolist()
+        assert report["estimates"][0]["diagnostics"]["trim_floor"] == 0.05
+        # the knots move the estimate, so a dropped plan would show
+        assert iv.theta.tolist() != fit_semiparametric_iv(data, 0.5).theta.tolist()
+
+    def test_unknown_estimator_rejected_before_reading(self, capsys):
+        # the data file does not exist: the name must be checked first
+        assert main(["fit", "--data", "/nope.csv", "--map", "d=d,y=y,w=w0",
+                     "--estimators", "semiparametric_iv,bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and "nope" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--seed", "1"],
+        ["cdf", "--seed", "1"],
+        ["cdf", "--bandwidth-mode", "cv"],
+        ["cdf", "--trim-floor", "0.05"],
+    ])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--data", "d.csv", "--map", "d=d,y=y,w=w0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["fit", "--data", "/nope.csv", "--map",

@@ -91,7 +91,7 @@ class TestIngestMatchesRowReader:
     def test_errors_past_first_chunk(self, tmp_path, bad_row, message):
         rows = numeric_rows(CHUNK + 400)
         rows[CHUNK + 100] = bad_row
-        rows.insert(CHUNK // 2, "")   # a blank line shifts no line number
+        rows.insert(CHUNK // 2, "")   # a blank line counts as a line
         p = write_text(tmp_path, "\n".join(["d,y,w0,x0", *rows]) + "\n")
         colmap = ColumnMap("d", "y", ("w0",), ("x0",))
         with pytest.raises(InputError) as want:
@@ -99,7 +99,7 @@ class TestIngestMatchesRowReader:
         with pytest.raises(InputError) as got:
             ingest_csv(p, colmap)
         assert str(got.value) == str(want.value)
-        assert message in str(got.value) and f"line {CHUNK + 102}" in str(got.value)
+        assert message in str(got.value) and f"line {CHUNK + 103}" in str(got.value)
 
     def test_first_error_wins_across_columns(self, tmp_path):
         # a bad w before a bad d in the same chunk: the earlier line is named
@@ -116,6 +116,19 @@ class TestIngestErrors:
         p = write_text(tmp_path, "d,y,w0,x0\n1,2.0,0.5,0.1\n1,3.0\n")
         with pytest.raises(InputError, match="^row has 2 of 4 fields at line 3$"):
             ingest_csv(p, ColumnMap("d", "y", ("w0",), ("x0",)))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("text, line", [
+        ("d,y,w0\n\n1,,0.1\n", 3),                          # a blank line above
+        ('d,y,w0,note\n1,2.0,0.5,"a\nb"\n1,,0.1,c\n', 4),   # a quoted line break
+    ])
+    def test_error_names_file_line(self, tmp_path, text, line, newline):
+        p = write_text(tmp_path, text, newline)
+        colmap = ColumnMap("d", "y", ("w0",))
+        for reader in (ingest_csv, ingest_csv_reference):
+            with pytest.raises(InputError,
+                               match=f"^observed row missing outcome at line {line}$"):
+                reader(p, colmap)
 
     def test_row_short_only_in_unmapped_columns(self, tmp_path):
         p = write_text(tmp_path, "d,y,w0,note\n1,2.0,0.5\n0,,0.25,a\n")

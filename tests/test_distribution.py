@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from selqr import (CorrectedCDF, InputError, QuantileProblem, SimulationSpec,
-                   corrected_cdf, generate, quantile_from_cdf, solve)
+                   corrected_cdf, generate, solve)
 from selqr.first_stage import cone_project, estimate_unconstrained, weights
 
 
@@ -52,12 +52,12 @@ class TestCorrectedCDF:
 class TestQuantileFromCDF:
     def test_uniform_median(self):
         cdf = CorrectedCDF.from_values(np.array([1.0, 2.0, 3.0]), np.ones(3))
-        assert quantile_from_cdf(cdf, 0.5) == 2.0
+        assert cdf.quantile(0.5) == 2.0
 
     def test_tau_just_above_step_moves_to_next_support_point(self):
         cdf = CorrectedCDF.from_values(np.array([1.0, 2.0, 3.0]), np.ones(3))
-        assert quantile_from_cdf(cdf, 1 / 3 + 1e-9) == 2.0
-        assert quantile_from_cdf(cdf, 2 / 3 + 1e-9) == 3.0
+        assert cdf.quantile(1 / 3 + 1e-9) == 2.0
+        assert cdf.quantile(2 / 3 + 1e-9) == 3.0
 
     def test_matches_weighted_qr_within_one_gap(self):
         rng = np.random.default_rng(8)
@@ -65,7 +65,7 @@ class TestQuantileFromCDF:
         g = rng.uniform(1, 3, 60)
         cdf = CorrectedCDF.from_values(y, g)
         for tau in (0.25, 0.5, 0.8):
-            q = quantile_from_cdf(cdf, tau)
+            q = cdf.quantile(tau)
             theta = solve(QuantileProblem(Z=np.ones((60, 1)), y=y, w=g,
                                           tau=tau)).theta[0]
             i = int(np.searchsorted(y, q))
