@@ -229,7 +229,10 @@ def covariance(fit: FirstStageFit | None, qsol: QuantileSolution,
     tau = qsol.tau
     omega = np.asarray(omega, dtype=float)
 
+    # the rows the LP interpolates have residual zero, whatever sign their
+    # rounding noise has, so their score is tau (quantile_score's convention)
     resid = np.where(sel, data.y_filled() - Z @ theta, 0.0)
+    resid[list(qsol.active_set)] = 0.0
     psi = np.where(sel, quantile_score(resid, tau), 0.0)
 
     # conditional density of the outcome given (omega, Z) on selected rows;

@@ -2,12 +2,23 @@
 
 minimize_theta  sum_i w_i * rho_tau(y_i - Z_i' theta)
 
-solved as the classical linear program with free coefficients and split
-nonnegative residuals, using the HiGHS dual simplex. Simplex returns a
-vertex of the feasible polyhedron, so generically d_z residuals are exactly
-zero at the solution; ties in flat minima are broken by the solver's
-deterministic pivoting order and are stable across runs for identical
-inputs.
+solved in its dual form (Koenker 2005, Quantile Regression, sec. 6.2)
+
+maximize_a  y'a   s.t.  Z'a = 0,  -(1-tau) w_i <= a_i <= tau w_i,
+
+an LP with d equality rows and n box-bounded columns, by HiGHS dual
+simplex. theta is the vector of multipliers of the equality rows. At a
+basic solution the d basic columns are rows whose residual is zero, so
+theta is a vertex of the primal problem. Where exactly d residuals are
+zero, theta is re-solved from those rows. Every solution is checked
+against the exact Koenker-Bassett optimality condition
+(`kb_stationarity`).
+
+The same inputs always give the same output. When the minimum is unique,
+which is the generic case for continuous data, theta does not depend on
+the order of the rows beyond rounding. In a flat minimum, the optimal
+vertex returned depends on the solver's pivoting, so a row permutation
+can return a different vertex with the same objective.
 """
 
 from __future__ import annotations
@@ -15,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import linprog, lsq_linear
 
 from .errors import InputError, NumericalError
+
+# ulp doublings _interpolate tries; 2**20 ulps stays below solve's zero_tol
+INTERPOLATE_STEPS = 21
 
 
 def check_loss(u, tau: float):
@@ -76,40 +89,102 @@ class QuantileSolution:
 
 
 def solve(problem: QuantileProblem) -> QuantileSolution:
-    """Exact minimizer of the weighted check loss.
+    """Exact minimizer of the weighted check loss, from the dual LP.
 
-    The returned point satisfies the subgradient certificate: for every
-    coordinate, the weighted score sum over nonzero residuals lies inside
-    the interval generated by assigning each zero residual any score in
-    [tau-1, tau].
+    HiGHS dual simplex solves max y'a s.t. Z'a = 0 over the box
+    -(1-tau) w <= a <= tau w, and theta is read from the multipliers of the
+    d equality rows. Where exactly d residuals are zero up to rounding,
+    theta is re-solved from those rows, so the vertex interpolates them to
+    rounding, with nonnegative residuals (`_interpolate`). The returned
+    point then passes the Koenker-Bassett certificate (`kb_stationarity`),
+    computed from the data and theta alone; a point that fails it raises
+    NumericalError.
     """
     keep = problem.w > 0
     Z, y, w = problem.Z[keep], problem.y[keep], problem.w[keep]
-    n, d = Z.shape
+    d = Z.shape[1]
     if np.linalg.matrix_rank(Z) < d:
         raise NumericalError("rank-deficient quantile design")
     tau = problem.tau
 
-    cost = np.concatenate([np.zeros(d), tau * w, (1 - tau) * w])
-    A_eq = sp.hstack([sp.csc_matrix(Z), sp.eye(n, format="csc"),
-                      -sp.eye(n, format="csc")], format="csc")
-    bounds = [(None, None)] * d + [(0, None)] * (2 * n)
-    res = linprog(cost, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs-ds")
+    # a = 0 is feasible and the box bounds the objective, so a nonzero
+    # status can only be an iteration or time limit
+    res = linprog(-y, A_eq=Z.T, b_eq=np.zeros(d),
+                  bounds=np.column_stack([-(1 - tau) * w, tau * w]),
+                  method="highs-ds")
     if res.status != 0:
         raise NumericalError(f"quantile LP failed: {res.message}")
 
-    theta = res.x[:d]
-    resid = y - Z @ theta
-    objective = float(np.sum(w * check_loss(resid, tau)))
+    theta = -res.eqlin.marginals
     zero_tol = 1e-9 * max(1.0, np.abs(y).max())
+    zero = np.abs(y - Z @ theta) <= zero_tol
+    if zero.sum() == d:
+        theta = _interpolate(Z, y, zero, theta)
+    resid = y - Z @ theta
     zero = np.abs(resid) <= zero_tol
-    lo, hi = subgradient_interval(Z, resid, w, tau, zero_tol=zero_tol)
+    objective = float(np.sum(w * check_loss(resid, tau)))
     slack = 1e-6 * max(1.0, float(np.abs(w @ np.abs(Z)).max()))
-    if (lo > slack).any() or (hi < -slack).any():
-        raise NumericalError("quantile solution violates the subgradient certificate")
+    if kb_stationarity(Z, resid, w, tau, zero_tol=zero_tol) > slack:
+        raise NumericalError("quantile solution violates the optimality certificate")
     orig = np.flatnonzero(keep)
     return QuantileSolution(theta=theta, objective=objective,
                             active_set=tuple(int(i) for i in orig[zero]), tau=tau)
+
+
+def _interpolate(Z, y, rows, theta):
+    """Re-solve theta from the d rows of a nondegenerate vertex.
+
+    Their residuals y - Z theta, computed over all rows as solve computes
+    them, come out nonnegative, so quantile_score gives them tau, its value
+    at zero, rather than the sign of rounding noise: when the exact solve
+    leaves one negative, the targets are lowered by 1, 2, 4, ... ulps of
+    max |y_rows| until none is. Returns the given theta if Z[rows] is
+    singular.
+    """
+    Zh, yh = Z[rows], y[rows]
+    shift, ulp = 0.0, np.spacing(np.abs(yh).max())
+    for k in range(INTERPOLATE_STEPS):
+        try:
+            theta = np.linalg.solve(Zh, yh - shift)
+        except np.linalg.LinAlgError:
+            return theta
+        if ((y - Z @ theta)[rows] >= 0).all():
+            break
+        shift = ulp * 2.0 ** k
+    return theta
+
+
+def kb_stationarity(Z, resid, w, tau, zero_tol=1e-9) -> float:
+    """Distance of theta from the Koenker-Bassett optimality condition.
+
+    theta minimizes sum_i w_i rho_tau(r_i) exactly when one score vector a,
+    with a_i = tau w_i where r_i > 0, a_i = -(1-tau) w_i where r_i < 0 and
+    a_i in [-(1-tau) w_i, tau w_i] on the zero residuals h, satisfies
+    Z'a = 0 (Koenker 2005, Thm 2.1). With base the fixed part of Z'a, the
+    zero rows must solve Z_h' a_h = -base inside their box. At a
+    nondegenerate vertex (|h| = d, Z_h nonsingular) a_h is the unique
+    solution of that d x d system, clipped to the box; otherwise it is the
+    bounded least-squares solution. Returns max_k |(Z'a)_k|, which is zero,
+    up to rounding, exactly when theta is optimal.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    resid = np.asarray(resid, dtype=float)
+    w = np.asarray(w, dtype=float)
+    zero = np.abs(resid) <= zero_tol
+    score = np.where(resid < 0, (tau - 1) * w, tau * w)
+    base = (score * ~zero) @ Z
+    Zh_t, lo, hi = Z[zero].T, (tau - 1) * w[zero], tau * w[zero]
+    if Zh_t.shape[1] == 0:
+        return float(np.abs(base).max())
+    a_h = None
+    if Zh_t.shape[0] == Zh_t.shape[1]:
+        try:
+            a_h = np.clip(np.linalg.solve(Zh_t, -base), lo, hi)
+        except np.linalg.LinAlgError:
+            pass
+    if a_h is None:
+        a_h = lsq_linear(Zh_t, -base, bounds=(lo, hi), method="bvls").x
+    return float(np.abs(base + Zh_t @ a_h).max())
 
 
 def subgradient_interval(Z, resid, w, tau, zero_tol=1e-9):

@@ -50,3 +50,16 @@ class TestFitShapes:
         assert qf_point.diagnostics["weight_mode"] == "pointwise"
         assert qf_fun.diagnostics["weight_mode"] == "functional"
         assert np.isfinite(qf_fun.theta).all()
+
+
+def test_row_permutation_invariance(dataset_m2):
+    data = dataset_m2.data
+    perm = np.random.default_rng(0).permutation(data.n)
+    permuted = ObservationSet(d=data.d[perm], y=data.y[perm], w=data.w[perm],
+                              x=data.x[perm])
+    for name in ("uncorrected", "mar", "semiparametric_iv"):
+        for tau in (0.25, 0.5):
+            qf, qp = fit(data, tau, name), fit(permuted, tau, name)
+            assert_allclose(qp.theta, qf.theta, rtol=1e-10)
+            assert_allclose(qp.se, qf.se, rtol=1e-10)
+            assert sorted(perm[list(qp.qsol.active_set)]) == sorted(qf.qsol.active_set)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from selqr import (InputError, QuantileProblem, conditional_density,
                    confidence_intervals, covariance, cv_bandwidths,
                    default_bandwidths, solve)
+from selqr.baselines import mar_weights
 from selqr.estimator import fit_semiparametric_iv, fit_uncorrected
 from selqr.inference import CV_BLOCK_ROWS
 from selqr.first_stage import cone_project, estimate_unconstrained
@@ -132,6 +134,24 @@ class TestCovariance:
         S = (Z * psi[:, None]).T @ (Z * psi[:, None]) / data.n
         direct = np.linalg.inv(M1) @ S @ np.linalg.inv(M1)
         assert_allclose(cov.sigma, 0.5 * (direct + direct.T), atol=1e-8)
+
+    def test_se_ignores_rounding_sign_at_interpolated_rows(self, data_mnar):
+        # the rows the LP interpolates score tau whichever side of zero
+        # their rounded residuals fall
+        data = data_mnar
+        omega, _ = mar_weights(data)
+        qsol = solve(QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan),
+                                     w=omega, tau=0.25))
+        active = list(qsol.active_set)
+        theta = qsol.theta.copy()
+        theta[0] += 8 * np.spacing(np.abs(data.y[active]).max())
+        resid = (data.y - data.design_z() @ theta)[active]
+        assert (resid < 0).all() and (resid > -1e-12).all()
+        nudged = dataclasses.replace(qsol, theta=theta)
+        for fs in (None, cone_project(estimate_unconstrained(data), data)):
+            se = covariance(fs, qsol, data, omega=omega).se
+            assert_allclose(covariance(fs, nudged, data, omega=omega).se, se,
+                            rtol=1e-10)
 
     def test_sigma_symmetric_psd(self, dataset_m2):
         qf = fit_semiparametric_iv(dataset_m2.data, 0.5)

@@ -1,9 +1,14 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import selqr.qr
 from selqr import (InputError, NumericalError, QuantileProblem, check_loss,
                    quantile_score, solve, subgradient_interval)
+from selqr.qr import kb_stationarity
 from oracles import brute_force_qr
 
 
@@ -129,3 +134,82 @@ class TestSolve:
         with pytest.raises(InputError):
             QuantileProblem(Z=np.ones((3, 1)), y=np.arange(3.0),
                             w=np.array([1.0, -1.0, 1.0]), tau=0.5)
+
+
+def non_optimal_vertex():
+    """A vertex of an n = 8, d = 3 median regression that is not optimal but
+    passes the coordinatewise interval test."""
+    rng = np.random.default_rng(0)
+    n = 8
+    Z = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+    y = rng.standard_normal(n)
+    rows = [1, 2, 7]
+    return Z, y, np.ones(n), 0.5, np.linalg.solve(Z[rows], y[rows])
+
+
+def certificate_slack(Z, w):
+    return 1e-6 * max(1.0, float(np.abs(w @ np.abs(Z)).max()))
+
+
+class TestCertificate:
+    def test_interval_test_accepts_a_non_optimal_vertex(self):
+        Z, y, w, tau, theta = non_optimal_vertex()
+        resid = y - Z @ theta
+        _, obj_oracle = brute_force_qr(Z, y, w, tau)
+        assert np.sum(w * check_loss(resid, tau)) > obj_oracle + 0.3
+        lo, hi = subgradient_interval(Z, resid, w, tau)
+        assert (lo <= 0).all() and (hi >= 0).all()
+        assert kb_stationarity(Z, resid, w, tau) > 0.5
+
+    def test_solve_rejects_a_non_optimal_vertex(self, monkeypatch):
+        Z, y, w, tau, theta = non_optimal_vertex()
+        fake = SimpleNamespace(status=0, message="",
+                               eqlin=SimpleNamespace(marginals=-theta))
+        monkeypatch.setattr(selqr.qr, "linprog", lambda *a, **k: fake)
+        with pytest.raises(NumericalError, match="certificate"):
+            solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
+
+    def test_exact_on_every_vertex(self):
+        # the certificate accepts a vertex exactly when it is optimal
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            n = 7
+            Z = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+            y = rng.standard_normal(n)
+            w = rng.uniform(0.5, 3, n)
+            tau = rng.choice([0.1, 0.25, 0.5, 0.9])
+            _, obj_oracle = brute_force_qr(Z, y, w, tau)
+            for rows in itertools.combinations(range(n), 3):
+                theta = np.linalg.solve(Z[list(rows)], y[list(rows)])
+                resid = y - Z @ theta
+                optimal = np.sum(w * check_loss(resid, tau)) <= obj_oracle + 1e-9
+                accepted = kb_stationarity(Z, resid, w, tau) <= certificate_slack(Z, w)
+                assert accepted == optimal
+
+    def test_degenerate_optimum_passes(self):
+        # integer data: more than d zero residuals, the bounded
+        # least-squares branch
+        rng = np.random.default_rng(5)
+        n = 60
+        x = rng.integers(0, 3, n).astype(float)
+        Z = np.column_stack([np.ones(n), x])
+        y = rng.integers(0, 5, n).astype(float)
+        w = rng.choice([1.0, 2.0], n)
+        for tau in (0.25, 0.5, 0.8):
+            sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
+            assert len(sol.active_set) > 2
+            assert kb_stationarity(Z, y - Z @ sol.theta, w, tau) <= certificate_slack(Z, w)
+
+    def test_interpolated_rows_score_tau(self):
+        # an exact re-solve alone leaves a negative residual on 3 of these
+        # 30 problems
+        rng = np.random.default_rng(8)
+        for tau in [0.2, 0.5, 0.7] * 10:
+            n = 200
+            Z = np.column_stack([np.ones(n), rng.standard_normal((n, 2)) * 3])
+            y = 10 + rng.standard_normal(n) * 5
+            sol = solve(QuantileProblem(Z=Z, y=y, w=rng.uniform(1, 20, n), tau=tau))
+            active = list(sol.active_set)
+            resid = (y - Z @ sol.theta)[active]
+            assert len(active) == 3 and np.abs(resid).max() < 1e-12
+            assert (quantile_score(resid, tau) == tau).all()
