@@ -108,9 +108,12 @@ def cmd_fit(config: RunConfig, data) -> dict:
 
 
 def cmd_cdf(data, plan: BasisPlan) -> list[tuple[float, float, float]]:
-    """(y, corrected F, empirical F) on the selected outcome grid."""
+    """(y, corrected F, empirical F) on the selected outcome grid.
+
+    The corrected CDF weighs rows by the pointwise weights max(g_u, 1),
+    which the cone projection does not change, so it is not run.
+    """
     fs = first_stage.estimate_unconstrained(data, plan)
-    fs = first_stage.cone_project(fs, data)
     corrected = distribution.corrected_cdf(fs, data)
     y_sel = np.sort(data.y[data.selected])
     grid = np.unique(y_sel)

@@ -32,7 +32,7 @@ log = logging.getLogger(__name__)
 DENSITY_FLOOR = 1e-12
 CONSTANT_DIM_TOL = 1e-8
 PSD_CLIP_TOL = 1e-10
-CV_BLOCK_ROWS = 64       # rows of the pairwise difference array per cv block
+BLOCK_ROWS = 64          # rows per kernel block: two 64 x 1000 blocks are 1 MB
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
 
@@ -68,14 +68,21 @@ def _gauss(u: np.ndarray, h, out: np.ndarray) -> np.ndarray:
 def cv_bandwidths(V: np.ndarray, multipliers=None, max_rows: int = 2000) -> np.ndarray:
     """Least-squares cross-validation refinement of the rule-of-thumb.
 
-    Scales all rule-of-thumb bandwidths by a common factor chosen to
+    Scales all rule-of-thumb bandwidths h0 by a common factor c chosen to
     minimize the LSCV criterion of the joint product-Gaussian density on a
     (deterministically subsampled) grid of rows.
 
+    With S_ij = sum_d ((v_id - v_jd) / h0_d)^2, the product kernels at
+    bandwidths c h0 and sqrt(2) c h0 are k1_ij = a1 exp(-S_ij / (2 c^2))
+    and k2_ij = a2 exp(-S_ij / (4 c^2)), with a1 = (2 pi)^(-D/2) /
+    (c^D prod h0) and a2 = a1 / 2^(D/2). So each pair and multiplier costs
+    one exponential: e = exp(-S / (4 c^2)) gives the k2 sum as a2 sum(e)
+    and the k1 sum as a1 sum(e^2), and the leave-one-out diagonal of k1 is
+    m a1. The constants are applied to the sums, not to each pair.
+
     The sums over all m x m row pairs (m <= max_rows after subsampling) are
-    streamed over blocks of CV_BLOCK_ROWS rows: working memory is
-    (d + 2) * CV_BLOCK_ROWS * m floats (7 MB at m = 2000, d = 5), not
-    O(m^2 d).
+    streamed over blocks of BLOCK_ROWS rows: working memory is
+    2 * BLOCK_ROWS * m floats (2 MB at m = 2000), not O(m^2 d).
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     h0 = default_bandwidths(V)
@@ -84,49 +91,39 @@ def cv_bandwidths(V: np.ndarray, multipliers=None, max_rows: int = 2000) -> np.n
     if len(V) > max_rows:
         idx = np.unique(np.linspace(0, len(V) - 1, max_rows).round().astype(int))
         V = V[idx]
-    m = len(V)
-    n_mult = len(multipliers)
-    k2_sum, k1_sum, k1_diag = np.zeros(n_mult), np.zeros(n_mult), np.zeros(n_mult)
-    rows = min(CV_BLOCK_ROWS, m)
-    diffs_buf = np.empty((V.shape[1], rows, m))     # one plane per column
-    k_buf, work_buf = np.empty((rows, m)), np.empty((rows, m))
-    for lo in range(0, m, CV_BLOCK_ROWS):
-        block = V[lo:lo + CV_BLOCK_ROWS]
-        diffs = diffs_buf[:, :len(block)]
-        for d in range(V.shape[1]):
-            np.subtract(block[:, d, None], V[None, :, d], out=diffs[d])
-        k, work = k_buf[:len(block)], work_buf[:len(block)]
+    m, n_dims = V.shape
+    sum_e, sum_e_sq = np.zeros(len(multipliers)), np.zeros(len(multipliers))
+    rows = min(BLOCK_ROWS, m)
+    s_buf, e_buf = np.empty((rows, m)), np.empty((rows, m))
+    for lo in range(0, m, BLOCK_ROWS):
+        block = V[lo:lo + BLOCK_ROWS]
+        s, e = s_buf[:len(block)], e_buf[:len(block)]
+        for d in range(n_dims):
+            diff = e if d else s
+            np.subtract(block[:, d, None], V[None, :, d], out=diff)
+            diff /= h0[d]
+            np.square(diff, out=diff)
+            if d:
+                s += diff
         for i, c in enumerate(multipliers):
-            h = c * h0
-            k2_sum[i] += _product_kernel(diffs, np.sqrt(2) * h, k, work).sum()
-            k1 = _product_kernel(diffs, h, k, work)
-            k1_sum[i] += k1.sum()
-            k1_diag[i] += np.trace(k1, offset=lo)
+            np.multiply(s, -0.25 / c**2, out=e)
+            np.exp(e, out=e)
+            sum_e[i] += e.sum()
+            np.square(e, out=e)
+            sum_e_sq[i] += e.sum()
     best, best_score = 1.0, np.inf
-    for c, s2, s1, t1 in zip(multipliers, k2_sum, k1_sum, k1_diag):
-        int_f2 = s2 / m**2
-        loo = (s1 - t1) / (m * (m - 1))
+    for c, e_total, e_sq_total in zip(multipliers, sum_e, sum_e_sq):
+        a1 = (2 * np.pi) ** (-n_dims / 2) / (c**n_dims * np.prod(h0))
+        int_f2 = a1 / 2 ** (n_dims / 2) * e_total / m**2
+        loo = a1 * (e_sq_total - m) / (m * (m - 1))
         score = int_f2 - 2.0 * loo
         if score < best_score:
             best, best_score = c, score
     return best * h0
 
 
-def _product_kernel(diffs: np.ndarray, h: np.ndarray, out: np.ndarray,
-                    work: np.ndarray) -> np.ndarray:
-    """prod_d K(diffs[d] / h[d]) / h[d] for the Gaussian K, written into out.
-
-    The product runs over the planes in order, as np.prod over a last axis
-    does; work is scratch of out's shape.
-    """
-    _gauss(diffs[0], h[0], out)
-    for d in range(1, len(diffs)):
-        out *= _gauss(diffs[d], h[d], work)
-    return out
-
-
 def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths,
-                        chunk: int = 512):
+                        chunk: int = BLOCK_ROWS):
     """Nadaraya-Watson conditional density with product Gaussian kernels.
 
     f(y | v) = sum_j K_h0(y - y_j) prod_d K_hd(v_d - v_jd)
@@ -177,18 +174,6 @@ def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths,
 
 
 @dataclass(frozen=True)
-class InfluenceComponents:
-    M1_hat: np.ndarray
-    T_hat: np.ndarray | None
-    HGinvH: np.ndarray | None
-    projector: np.ndarray | None
-    Ujhat: np.ndarray | None
-    psi_res: np.ndarray
-    density: np.ndarray
-    bandwidths: np.ndarray
-
-
-@dataclass(frozen=True)
 class CovarianceEstimate:
     """Asymptotic covariance of sqrt(n)(theta_hat - theta) plus intervals."""
 
@@ -197,7 +182,6 @@ class CovarianceEstimate:
     ci: np.ndarray              # (d_z, 2)
     se: np.ndarray              # sqrt(diag(sigma) / n)
     n: int
-    components: InfluenceComponents
     min_eigenvalue: float       # before PSD clipping
     density_floored: int
 
@@ -273,10 +257,6 @@ def covariance(fit: FirstStageFit | None, qsol: QuantileSolution,
             scipy.linalg.cho_factor(fit.HGinvH), fit.projector)
         P = T_hat.T @ proj_rows                       # d_z x K
         M0 = M0 + (fit.designs.b @ P.T) * Uj[:, None]
-        comp_extra = dict(T_hat=T_hat, HGinvH=fit.HGinvH,
-                          projector=fit.projector, Ujhat=Uj)
-    else:
-        comp_extra = dict(T_hat=None, HGinvH=None, projector=None, Ujhat=None)
 
     S = M0.T @ M0 / n
     M1inv_S = scipy.linalg.cho_solve(M1_factor, S)
@@ -288,10 +268,7 @@ def covariance(fit: FirstStageFit | None, qsol: QuantileSolution,
         sigma = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
         sigma = 0.5 * (sigma + sigma.T)
 
-    components = InfluenceComponents(M1_hat=M1, psi_res=psi, density=f_all,
-                                     bandwidths=bw, **comp_extra)
     ci = confidence_intervals(theta, sigma, n, level)
     se = np.sqrt(np.clip(np.diag(sigma), 0.0, None) / n)
     return CovarianceEstimate(sigma=sigma, level=level, ci=ci, se=se, n=n,
-                              components=components, min_eigenvalue=min_eig,
-                              density_floored=int(floored.sum()))
+                              min_eigenvalue=min_eig, density_floored=int(floored.sum()))

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from selqr import (ColumnMap, InputError, SimulationSpec, default_plan,
-                   fit_mar, fit_semiparametric_iv, generate, ingest_csv,
-                   write_csv)
+from selqr import (ColumnMap, InputError, NumericalError, SimulationSpec,
+                   corrected_cdf, default_plan, first_stage, fit_mar,
+                   fit_semiparametric_iv, generate, ingest_csv, write_csv)
 from selqr.cli import _write_cdf_csv, main, parse_column_map
 from conftest import toy_data
 
@@ -217,6 +217,27 @@ class TestCdfCommand:
         assert (np.diff(rows[:, 1]) >= 0).all()
         assert (np.diff(rows[:, 2]) >= 0).all()
         assert rows[-1, 1] == 1.0 and rows[-1, 2] == 1.0
+
+    def test_cdf_runs_without_the_cone_projection(self, tmp_path, monkeypatch):
+        # the corrected CDF weighs rows by max(g_u, 1); on this sample the
+        # projection binds, and the CDF is the same with or without it
+        p, _ = _sim_csv(tmp_path, n=800, seed=0)
+        data = ingest_csv(p, parse_column_map("d=d,y=y,w=w0,x=x0"))
+        fs = first_stage.estimate_unconstrained(data, default_plan(data))
+        projected = first_stage.cone_project(fs, data)
+        assert projected.kkt["active_set_size"] > 0
+        assert np.array_equal(corrected_cdf(projected, data).cum_weights,
+                              corrected_cdf(fs, data).cum_weights)
+
+        args = ["cdf", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0", "--out"]
+        assert main(args + [str(tmp_path / "a.csv")]) == 0
+
+        def fail(*args, **kwargs):
+            raise NumericalError("cone projection did not converge")
+
+        monkeypatch.setattr(first_stage, "cone_project", fail)
+        assert main(args + [str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
     def test_csv_bytes_match_csv_writer(self):
         def via_csv_writer(rows):

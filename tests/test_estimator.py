@@ -63,3 +63,21 @@ def test_row_permutation_invariance(dataset_m2):
             assert_allclose(qp.theta, qf.theta, rtol=1e-10)
             assert_allclose(qp.se, qf.se, rtol=1e-10)
             assert sorted(perm[list(qp.qsol.active_set)]) == sorted(qf.qsol.active_set)
+
+
+@pytest.mark.parametrize("bandwidth_mode", ["rot", "cv"])
+def test_affine_equivariance_in_y(dataset_m2, bandwidth_mode):
+    # y -> 3 + 2y leaves the weights alone (the outcome spline's knots move
+    # with y), shifts the intercept and doubles every slope; the density of
+    # the outcome halves, so every standard error doubles
+    data = dataset_m2.data
+    moved = ObservationSet(d=data.d, y=3.0 + 2.0 * data.y, w=data.w, x=data.x)
+    shift = np.zeros(data.design_z().shape[1])
+    shift[data.z_labels().index("intercept")] = 3.0
+    for name in ("uncorrected", "mar", "semiparametric_iv"):
+        for tau in (0.25, 0.5):
+            qf = fit(data, tau, name, bandwidth_mode=bandwidth_mode)
+            qm = fit(moved, tau, name, bandwidth_mode=bandwidth_mode)
+            assert_allclose(qm.theta, 2.0 * qf.theta + shift, rtol=1e-10)
+            assert_allclose(qm.se, 2.0 * qf.se, rtol=1e-9)
+            assert sorted(qm.qsol.active_set) == sorted(qf.qsol.active_set)

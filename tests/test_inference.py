@@ -10,7 +10,7 @@ from selqr import (InputError, QuantileProblem, conditional_density,
                    default_bandwidths, solve)
 from selqr.baselines import mar_weights
 from selqr.estimator import fit_semiparametric_iv, fit_uncorrected
-from selqr.inference import CV_BLOCK_ROWS
+from selqr.inference import BLOCK_ROWS
 from selqr.first_stage import cone_project, estimate_unconstrained
 from selqr.qr import quantile_score
 from selqr.simlab import SimulationSpec, generate
@@ -89,21 +89,33 @@ class TestKernelExactness:
 
     def test_cv_bandwidths_match_full_array_reference(self):
         rng = np.random.default_rng(30)
-        m = 2 * CV_BLOCK_ROWS + 37
-        V = rng.standard_normal((m, 3)) * [1.0, 0.2, 5.0]
-        assert np.array_equal(cv_bandwidths(V), cv_bandwidths_reference(V))
+        m = 2 * BLOCK_ROWS + 37        # a short last block
+        inputs = [rng.standard_normal((m, 3)) * [1.0, 0.2, 5.0]]
+        for n_dims in (1, 2, 3, 4):
+            V = rng.standard_normal((m, n_dims)) * [30.0, 1.0, 0.2, 5.0][:n_dims]
+            tied = V.copy()
+            tied[:, -1] = rng.integers(0, 4, m)    # many pairs at distance zero
+            inputs += [V, tied]
+        for V in inputs:
+            assert np.array_equal(cv_bandwidths(V), cv_bandwidths_reference(V))
 
     def test_cv_bandwidths_match_reference_when_subsampling(self):
         rng = np.random.default_rng(31)
         V = rng.standard_normal((400, 2))
         V[:, 1] += 0.5 * V[:, 0]
+        inputs = [V]
+        for n_dims in (1, 2, 3, 4):
+            V = rng.standard_normal((400, n_dims))
+            V[::3, 0] = 0.25           # ties within the subsample
+            inputs.append(V)
         mult = np.linspace(0.2, 3.0, 15)
-        assert np.array_equal(cv_bandwidths(V, mult, max_rows=150),
-                              cv_bandwidths_reference(V, mult, max_rows=150))
+        for V in inputs:
+            assert np.array_equal(cv_bandwidths(V, mult, max_rows=150),
+                                  cv_bandwidths_reference(V, mult, max_rows=150))
 
     def test_cv_bandwidths_memory_is_not_quadratic(self):
         # one m x m x d float array at m = 2000, d = 3 is 96 MB; the
-        # docstring's bound is (d + 2) * CV_BLOCK_ROWS * m floats
+        # docstring's bound is 2 * BLOCK_ROWS * m floats
         m, d = 2000, 3
         V = np.random.default_rng(32).standard_normal((m, d))
         tracemalloc.start()
@@ -113,7 +125,21 @@ class TestKernelExactness:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
-        assert peak < 1.25 * (d + 2) * CV_BLOCK_ROWS * m * 8
+        assert peak < 1.25 * 2 * BLOCK_ROWS * m * 8
+
+    def test_conditional_density_memory_is_two_blocks(self):
+        # two BLOCK_ROWS x n_obs buffers, whatever the number of evaluations
+        n_obs, n_eval, d = 4000, 1000, 2
+        rng = np.random.default_rng(33)
+        y, v = rng.standard_normal(n_obs), rng.standard_normal((n_obs, d))
+        h = default_bandwidths(np.column_stack([y, v]))
+        tracemalloc.start()
+        try:
+            conditional_density(y, v, y[:n_eval], v[:n_eval], h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2 * BLOCK_ROWS * n_obs * 8
 
 
 class TestCovariance:
