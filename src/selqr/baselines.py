@@ -82,7 +82,13 @@ def probit_fit(d: np.ndarray, X: np.ndarray, max_iter: int = 200) -> ProbitFit:
 
 
 def mar_weights(data: ObservationSet, trim_floor: float = 0.01):
-    """Inverse probit probabilities under selection-on-observables."""
+    """Inverse probit probabilities under selection-on-observables.
+
+    Fitted probabilities are clamped below at trim_floor, which must lie
+    in [0, 1).
+    """
+    if not 0.0 <= trim_floor < 1.0:
+        raise InputError(f"trim floor must lie in [0, 1), got {trim_floor!r}")
     Xd = np.column_stack([np.ones(data.n), data.x])
     pf = probit_fit(data.d, Xd)
     p = np.maximum(pf.probabilities(Xd), trim_floor)

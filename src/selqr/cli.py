@@ -38,6 +38,8 @@ class RunConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not all(0.0 < t < 1.0 for t in self.taus):
             raise InputError("every tau must lie strictly inside (0, 1)")
+        if not 0.0 <= self.trim_floor < 1.0:
+            raise InputError(f"trim floor must lie in [0, 1), got {self.trim_floor!r}")
         if min(self.y_interior_knots, self.w_interior_knots) < 0:
             raise InputError("interior knot counts must be >= 0")
         if self.bandwidth_mode not in ("rot", "cv"):
@@ -87,12 +89,15 @@ def cmd_fit(config: RunConfig, data) -> dict:
         keywords["semiparametric_iv"] = {"plan": default_plan(
             data, config.y_degree, config.y_interior_knots,
             config.w_degree, config.w_interior_knots)}
+    # each estimator fits every level at once; the report keeps tau outer
+    fits = {name: estimator.fit(data, config.taus, name, level=config.level,
+                                bandwidth_mode=config.bandwidth_mode,
+                                **keywords.get(name, {}))
+            for name in dict.fromkeys(config.estimators)}
     estimates = []
-    for tau in config.taus:
+    for i, tau in enumerate(config.taus):
         for name in config.estimators:
-            qf = estimator.fit(data, tau, name, level=config.level,
-                               bandwidth_mode=config.bandwidth_mode,
-                               **keywords.get(name, {}))
+            qf = fits[name][i]
             estimates.append({
                 "tau": tau,
                 "estimator": name,
@@ -177,8 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     if args.command == "fit":
+        try:
+            taus = tuple(float(t) for t in args.tau.split(","))
+        except ValueError:
+            raise InputError(f"--tau takes comma-separated numbers, "
+                             f"got {args.tau!r}") from None
         config = RunConfig(
-            taus=tuple(float(t) for t in args.tau.split(",")),
+            taus=taus,
             y_degree=args.y_degree, y_interior_knots=args.y_interior_knots,
             w_degree=args.w_degree, w_interior_knots=args.w_interior_knots,
             bandwidth_mode=args.bandwidth_mode, trim_floor=args.trim_floor,

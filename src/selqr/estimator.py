@@ -10,6 +10,7 @@ probabilities, treated as known). `fit` dispatches on the name.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,33 +41,45 @@ class QuantileFit:
     first_stage: first_stage.FirstStageFit | None = None
 
 
-def _weighted_fit(data: ObservationSet, tau: float, name: str,
+def _weighted_fit(data: ObservationSet, tau: float | Sequence[float], name: str,
                   omega: np.ndarray, level: float, bandwidth_mode: str,
                   diagnostics: dict,
-                  fs: first_stage.FirstStageFit | None = None) -> QuantileFit:
+                  fs: first_stage.FirstStageFit | None = None
+                  ) -> QuantileFit | list[QuantileFit]:
     """Weighted QR and plug-in covariance for weights omega.
 
-    With a first-stage fit fs the covariance carries the first-stage
-    correction; without one it is the weights-known sandwich.
+    tau is a float, which gives one QuantileFit, or a sequence of floats,
+    which gives a list of fits in the same order (np.quantile's
+    convention). Only the LP and the sandwich run per level: one
+    `inference.covariance` call shares the bandwidths and the conditioning
+    kernel across all of them. With a first-stage fit fs the covariance
+    carries the first-stage correction; without one it is the weights-known
+    sandwich.
     """
-    qsol = solve(QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan),
-                                 w=omega, tau=tau))
-    cov = inference.covariance(fs, qsol, data, omega=omega, level=level,
-                               bandwidth_mode=bandwidth_mode)
-    return QuantileFit(tau=tau, estimator=name, theta=qsol.theta,
-                       sigma=cov.sigma, se=cov.se, ci=cov.ci, level=level,
-                       labels=tuple(data.z_labels()),
-                       diagnostics={"n_selected": data.n_selected, **diagnostics},
-                       qsol=qsol, first_stage=fs)
+    scalar = np.ndim(tau) == 0
+    taus = [tau] if scalar else list(tau)
+    Z, y = data.design_z(), data.y_filled(np.nan)
+    qsols = [solve(QuantileProblem(Z=Z, y=y, w=omega, tau=t)) for t in taus]
+    covs = inference.covariance(fs, qsols, data, omega=omega, level=level,
+                                bandwidth_mode=bandwidth_mode)
+    labels = tuple(data.z_labels())
+    fits = [QuantileFit(tau=t, estimator=name, theta=qsol.theta,
+                        sigma=cov.sigma, se=cov.se, ci=cov.ci, level=level,
+                        labels=labels,
+                        diagnostics={"n_selected": data.n_selected, **diagnostics},
+                        qsol=qsol, first_stage=fs)
+            for t, qsol, cov in zip(taus, qsols, covs)]
+    return fits[0] if scalar else fits
 
 
-def fit_semiparametric_iv(data: ObservationSet, tau: float,
+def fit_semiparametric_iv(data: ObservationSet, tau: float | Sequence[float],
                           plan: BasisPlan | None = None, level: float = 0.95,
                           bandwidth_mode: str = "rot",
-                          weight_mode: str = "pointwise") -> QuantileFit:
+                          weight_mode: str = "pointwise"
+                          ) -> QuantileFit | list[QuantileFit]:
     """Inverse-selection-probability weighted QR with first-stage-aware
     covariance: series 2SLS, cone projection, weighting, weighted QR,
-    plug-in inference."""
+    plug-in inference. The weights are built once for every level in tau."""
     fs = first_stage.estimate_unconstrained(data, plan)
     fs = first_stage.cone_project(fs, data)
     wv = first_stage.weights(fs, data, mode=weight_mode)
@@ -81,19 +94,21 @@ def fit_semiparametric_iv(data: ObservationSet, tau: float,
                          bandwidth_mode, diagnostics, fs=fs)
 
 
-def fit_uncorrected(data: ObservationSet, tau: float, level: float = 0.95,
-                    bandwidth_mode: str = "rot") -> QuantileFit:
+def fit_uncorrected(data: ObservationSet, tau: float | Sequence[float],
+                    level: float = 0.95, bandwidth_mode: str = "rot"
+                    ) -> QuantileFit | list[QuantileFit]:
     """Complete-case QR: the weights are the selection dummies."""
     return _weighted_fit(data, tau, "uncorrected", data.d.astype(float), level,
                          bandwidth_mode, {})
 
 
-def fit_mar(data: ObservationSet, tau: float, trim_floor: float = 0.01,
-            level: float = 0.95, bandwidth_mode: str = "rot") -> QuantileFit:
+def fit_mar(data: ObservationSet, tau: float | Sequence[float],
+            trim_floor: float = 0.01, level: float = 0.95,
+            bandwidth_mode: str = "rot") -> QuantileFit | list[QuantileFit]:
     """Probit-IPW QR under selection-on-observables, weights treated as known.
 
     Fitted selection probabilities are clamped below at trim_floor before
-    inverting.
+    inverting. One probit serves every level in tau.
     """
     omega, probit = baselines.mar_weights(data, trim_floor)
     diagnostics = {"probit_iterations": probit.iterations, "trim_floor": trim_floor}
@@ -101,9 +116,14 @@ def fit_mar(data: ObservationSet, tau: float, trim_floor: float = 0.01,
                          diagnostics)
 
 
-def fit(data: ObservationSet, tau: float, estimator: str = "semiparametric_iv",
-        **kwargs) -> QuantileFit:
+def fit(data: ObservationSet, tau: float | Sequence[float],
+        estimator: str = "semiparametric_iv",
+        **kwargs) -> QuantileFit | list[QuantileFit]:
     """Run one estimator, named as in ESTIMATOR_NAMES, at quantile level tau.
+
+    tau is a float, which gives one QuantileFit, or a sequence of levels,
+    which gives a list of fits in the same order. A sequence shares the
+    weights, the bandwidths and the conditioning kernel across its levels.
 
     Every estimator takes `level` and `bandwidth_mode`. Extra keywords:
     `plan` and `weight_mode` for semiparametric_iv, `trim_floor` for mar,

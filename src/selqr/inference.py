@@ -16,6 +16,7 @@ UJ_i = 1 - D_i phi_i' beta_u the first-stage residual.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,30 +131,40 @@ def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths,
                / sum_j prod_d K_hd(v_d - v_jd)
 
     bandwidths[0] belongs to the outcome kernel, the rest to the columns of
-    v. v may have zero columns (plain KDE). Returns (density values,
-    boolean mask of evaluations whose denominator hit the 1e-12 floor).
+    v. v may have zero columns (plain KDE). y_eval has shape (n_eval,), or
+    (k, n_eval) for k sets of outcomes evaluated at the same n_eval rows of
+    v_eval. Returns (density values, shaped like y_eval; boolean mask of
+    the n_eval rows whose denominator hit the 1e-12 floor, which does not
+    depend on y).
+
     Evaluations run in chunks of `chunk` rows through two chunk x n_obs
-    buffers.
+    buffers, whatever k is. Each chunk builds the conditioning kernel and
+    its denominator once, then the outcome kernel of each of the k rows in
+    turn, so every value equals that of a one-dimensional call.
     """
     y_obs = np.asarray(y_obs, dtype=float)
     y_eval = np.asarray(y_eval, dtype=float)
+    if y_eval.ndim not in (1, 2):
+        raise InputError("y_eval must have shape (n_eval,) or (k, n_eval)")
+    levels = np.atleast_2d(y_eval)
+    n_eval = levels.shape[1]
     v_obs = np.asarray(v_obs, dtype=float).reshape(len(y_obs), -1)
-    v_eval = np.asarray(v_eval, dtype=float).reshape(len(y_eval), -1)
+    v_eval = np.asarray(v_eval, dtype=float).reshape(n_eval, -1)
     bandwidths = np.asarray(bandwidths, dtype=float)
     if (bandwidths <= 0).any():
         raise InputError("bandwidths must be positive")
     if len(bandwidths) != 1 + v_obs.shape[1]:
         raise InputError("need one bandwidth for y plus one per conditioning column")
 
-    out = np.empty(len(y_eval))
-    floored = np.zeros(len(y_eval), dtype=bool)
+    out = np.empty(levels.shape)
+    floored = np.zeros(n_eval, dtype=bool)
     h0, hv = bandwidths[0], bandwidths[1:]
-    rows = min(chunk, len(y_eval))
+    rows = min(chunk, n_eval)
     kv_buf = np.empty((rows, len(y_obs)))
     work_buf = np.empty((rows, len(y_obs)))
-    for lo in range(0, len(y_eval), chunk):
+    for lo in range(0, n_eval, chunk):
         sl = slice(lo, lo + chunk)
-        kv = kv_buf[:len(y_eval[sl])]
+        kv = kv_buf[:len(floored[sl])]
         work = work_buf[:len(kv)]
         if v_obs.shape[1] == 0:
             kv.fill(1.0)
@@ -164,13 +175,15 @@ def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths,
             _gauss(k, hv[d], k)
             if d:
                 kv *= k
-        np.subtract(y_eval[sl, None], y_obs[None, :], out=work)
-        _gauss(work, h0, work)
         den = kv.sum(axis=1)
         floored[sl] = den < DENSITY_FLOOR
-        work *= kv
-        out[sl] = work.sum(axis=1) / np.maximum(den, DENSITY_FLOOR)
-    return out, floored
+        den = np.maximum(den, DENSITY_FLOOR)
+        for y_level, out_level in zip(levels, out):
+            np.subtract(y_level[sl, None], y_obs[None, :], out=work)
+            _gauss(work, h0, work)
+            work *= kv
+            out_level[sl] = work.sum(axis=1) / den
+    return out.reshape(y_eval.shape), floored
 
 
 @dataclass(frozen=True)
@@ -196,28 +209,34 @@ def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
     return np.column_stack([theta - half, theta + half])
 
 
-def covariance(fit: FirstStageFit | None, qsol: QuantileSolution,
+def covariance(fit: FirstStageFit | None,
+               qsol: QuantileSolution | Sequence[QuantileSolution],
                data: ObservationSet, omega: np.ndarray,
                level: float = 0.95,
-               bandwidth_mode: str = "rot") -> CovarianceEstimate:
-    """Plug-in covariance for a weighted quantile fit.
+               bandwidth_mode: str = "rot"
+               ) -> CovarianceEstimate | list[CovarianceEstimate]:
+    """Plug-in covariance for a weighted quantile fit at one level or several.
+
+    qsol is one QuantileSolution, which gives one CovarianceEstimate, or a
+    sequence of solutions fitted with the same weights omega, which gives a
+    list in the same order. What does not depend on the level is formed
+    once for all of them: the conditioning data and its dropped dimensions,
+    the bandwidths, the first-stage residual and projector, and the
+    conditioning kernel of one `conditional_density` call. Only the scores,
+    the density-weighted design and the sandwich are formed per level.
 
     With fit=None the first-stage correction term is dropped and the
     estimate reduces to the weights-known sandwich; this is the mode used
     for comparator estimators whose weights are treated as fixed.
     """
+    single = isinstance(qsol, QuantileSolution)
+    qsols = [qsol] if single else list(qsol)
+    if not qsols:
+        raise InputError("need at least one quantile level")
     Z = data.design_z()
     n = data.n
     sel = data.selected
-    theta = qsol.theta
-    tau = qsol.tau
     omega = np.asarray(omega, dtype=float)
-
-    # the rows the LP interpolates have residual zero, whatever sign their
-    # rounding noise has, so their score is tau (quantile_score's convention)
-    resid = np.where(sel, data.y_filled() - Z @ theta, 0.0)
-    resid[list(qsol.active_set)] = 0.0
-    psi = np.where(sel, quantile_score(resid, tau), 0.0)
 
     # conditional density of the outcome given (omega, Z) on selected rows;
     # near-constant conditioning dimensions carry no kernel information and
@@ -236,39 +255,53 @@ def covariance(fit: FirstStageFit | None, qsol: QuantileSolution,
         bw = cv_bandwidths(kernel_data)
     else:
         raise InputError(f"unknown bandwidth mode {bandwidth_mode!r}")
-    f_sel, floored = conditional_density(y_sel, cond, (Z @ theta)[sel], cond, bw)
+    y_filled = data.y_filled()
+    fitted = [Z @ q.theta for q in qsols]
+    f_sel, floored = conditional_density(
+        y_sel, cond, np.array([f[sel] for f in fitted]), cond, bw)
     if floored.any():
         log.info("density denominator floored at %d evaluation point(s)",
                  int(floored.sum()))
-
-    f_all = np.zeros(n)
-    f_all[sel] = f_sel
-    M1 = (Z * (omega * f_all)[:, None]).T @ Z / n
-    try:
-        M1_factor = scipy.linalg.cho_factor(M1)
-    except np.linalg.LinAlgError:
-        raise NumericalError("density-weighted design singular")
-
-    M0 = Z * (omega * psi)[:, None]
     if fit is not None:
-        T_hat = (fit.designs.phi * psi[:, None]).T @ Z / n
         Uj = 1.0 - fit.designs.phi @ fit.beta_u
         proj_rows = scipy.linalg.cho_solve(
             scipy.linalg.cho_factor(fit.HGinvH), fit.projector)
-        P = T_hat.T @ proj_rows                       # d_z x K
-        M0 = M0 + (fit.designs.b @ P.T) * Uj[:, None]
 
-    S = M0.T @ M0 / n
-    M1inv_S = scipy.linalg.cho_solve(M1_factor, S)
-    sigma = scipy.linalg.cho_solve(M1_factor, M1inv_S.T).T
-    sigma = 0.5 * (sigma + sigma.T)
-    eigvals, eigvecs = np.linalg.eigh(sigma)
-    min_eig = float(eigvals.min())
-    if min_eig < 0.0:
-        sigma = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+    estimates = []
+    for q, fitted_q, f_q in zip(qsols, fitted, f_sel):
+        # the rows the LP interpolates have residual zero, whatever sign their
+        # rounding noise has, so their score is tau (quantile_score's convention)
+        resid = np.where(sel, y_filled - fitted_q, 0.0)
+        resid[list(q.active_set)] = 0.0
+        psi = np.where(sel, quantile_score(resid, q.tau), 0.0)
+
+        f_all = np.zeros(n)
+        f_all[sel] = f_q
+        M1 = (Z * (omega * f_all)[:, None]).T @ Z / n
+        try:
+            M1_factor = scipy.linalg.cho_factor(M1)
+        except np.linalg.LinAlgError:
+            raise NumericalError("density-weighted design singular")
+
+        M0 = Z * (omega * psi)[:, None]
+        if fit is not None:
+            T_hat = (fit.designs.phi * psi[:, None]).T @ Z / n
+            P = T_hat.T @ proj_rows                       # d_z x K
+            M0 = M0 + (fit.designs.b @ P.T) * Uj[:, None]
+
+        S = M0.T @ M0 / n
+        M1inv_S = scipy.linalg.cho_solve(M1_factor, S)
+        sigma = scipy.linalg.cho_solve(M1_factor, M1inv_S.T).T
         sigma = 0.5 * (sigma + sigma.T)
+        eigvals, eigvecs = np.linalg.eigh(sigma)
+        min_eig = float(eigvals.min())
+        if min_eig < 0.0:
+            sigma = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+            sigma = 0.5 * (sigma + sigma.T)
 
-    ci = confidence_intervals(theta, sigma, n, level)
-    se = np.sqrt(np.clip(np.diag(sigma), 0.0, None) / n)
-    return CovarianceEstimate(sigma=sigma, level=level, ci=ci, se=se, n=n,
-                              min_eigenvalue=min_eig, density_floored=int(floored.sum()))
+        ci = confidence_intervals(q.theta, sigma, n, level)
+        se = np.sqrt(np.clip(np.diag(sigma), 0.0, None) / n)
+        estimates.append(CovarianceEstimate(
+            sigma=sigma, level=level, ci=ci, se=se, n=n, min_eigenvalue=min_eig,
+            density_floored=int(floored.sum())))
+    return estimates[0] if single else estimates

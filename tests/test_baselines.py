@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
-from selqr import (NumericalError, QuantileProblem, SimulationSpec, fit_mar,
+from selqr import (InputError, NumericalError, QuantileProblem, SimulationSpec, fit_mar,
                    fit_uncorrected, generate, probit_fit, solve)
 from selqr.baselines import _probit_parts, mar_weights
 from oracles import probit_grid_max, probit_loglik
@@ -72,6 +72,11 @@ class TestMarIPW:
         omega, _ = mar_weights(data_mnar, trim_floor=0.4)
         positive = omega[omega > 0]
         assert (positive <= 1 / 0.4 + 1e-12).all()
+
+    @pytest.mark.parametrize("trim_floor", [-1.0, 1.0, 1.5, np.nan, np.inf])
+    def test_trim_floor_outside_unit_interval_rejected(self, data_mnar, trim_floor):
+        with pytest.raises(InputError, match="trim floor"):
+            mar_weights(data_mnar, trim_floor=trim_floor)
 
     def test_runs_on_mnar_sample(self, data_mnar):
         sol = fit_mar(data_mnar, 0.5).qsol

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from selqr import (ColumnMap, InputError, NumericalError, SimulationSpec,
-                   corrected_cdf, default_plan, first_stage, fit_mar,
+                   corrected_cdf, default_plan, first_stage, fit, fit_mar,
                    fit_semiparametric_iv, generate, ingest_csv, write_csv)
 from selqr.cli import _write_cdf_csv, main, parse_column_map
 from conftest import toy_data
@@ -121,6 +121,45 @@ class TestFitCommand:
         assert report["estimates"][0]["diagnostics"]["trim_floor"] == 0.05
         # the knots move the estimate, so a dropped plan would show
         assert iv.theta.tolist() != fit_semiparametric_iv(data, 0.5).theta.tolist()
+
+    def test_tau_grid_report_matches_scalar_fits(self, tmp_path):
+        # one call per estimator fits every level; the report keeps the
+        # given tau order outer and the estimator order inner
+        p, _ = _sim_csv(tmp_path)
+        out = tmp_path / "r.json"
+        assert main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
+                     "--tau", "0.75,0.25,0.5", "--estimators", "mar,uncorrected",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        data = ingest_csv(p, ColumnMap("d", "y", ("w0",), ("x0",)))
+        want = []
+        for tau in (0.75, 0.25, 0.5):
+            for name in ("mar", "uncorrected"):
+                qf = fit(data, tau, name)
+                want.append({"tau": tau, "estimator": name,
+                             "labels": list(qf.labels),
+                             "theta": qf.theta.tolist(),
+                             "sigma": qf.sigma.tolist(), "se": qf.se.tolist(),
+                             "ci": qf.ci.tolist(),
+                             "diagnostics": qf.diagnostics})
+        assert report["estimates"] == want
+
+    @pytest.mark.parametrize("taus", ["0.25,,0.5", "abc"])
+    def test_malformed_tau_is_an_input_error(self, tmp_path, capsys, taus):
+        p, _ = _sim_csv(tmp_path, n=200)
+        assert main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
+                     "--tau", taus]) == 2
+        assert "input error: --tau takes comma-separated numbers" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("trim_floor", ["-1", "1.5", "1", "nan"])
+    def test_trim_floor_outside_unit_interval_is_an_input_error(
+            self, tmp_path, capsys, trim_floor):
+        p, _ = _sim_csv(tmp_path, n=200)
+        assert main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
+                     "--estimators", "mar", f"--trim-floor={trim_floor}"]) == 2
+        assert "input error: trim floor must lie in [0, 1)" in \
+            capsys.readouterr().err
 
     def test_unknown_estimator_rejected_before_reading(self, capsys):
         # the data file does not exist: the name must be checked first

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from selqr import InputError, ObservationSet, fit, fit_semiparametric_iv
+from selqr import (InputError, ObservationSet, baselines, first_stage, fit,
+                   fit_semiparametric_iv, inference)
 from conftest import toy_data
 
 
@@ -81,3 +82,46 @@ def test_affine_equivariance_in_y(dataset_m2, bandwidth_mode):
             assert_allclose(qm.theta, 2.0 * qf.theta + shift, rtol=1e-10)
             assert_allclose(qm.se, 2.0 * qf.se, rtol=1e-9)
             assert sorted(qm.qsol.active_set) == sorted(qf.qsol.active_set)
+
+
+@pytest.mark.parametrize("bandwidth_mode", ["rot", "cv"])
+def test_tau_sequence_equals_scalar_fits(dataset_m2, bandwidth_mode):
+    # a sequence of levels, unsorted and with a duplicate, gives the scalar
+    # fits bit for bit, in the given order
+    data = dataset_m2.data
+    taus = [0.75, 0.25, 0.5, 0.5]
+    for name in ("uncorrected", "mar", "semiparametric_iv"):
+        fits = fit(data, taus, name, bandwidth_mode=bandwidth_mode)
+        assert isinstance(fits, list) and len(fits) == len(taus)
+        for tau, qf in zip(taus, fits):
+            one = fit(data, tau, name, bandwidth_mode=bandwidth_mode)
+            assert qf.tau == tau and qf.estimator == name
+            for attr in ("theta", "sigma", "se", "ci"):
+                assert np.array_equal(getattr(qf, attr), getattr(one, attr))
+            assert qf.diagnostics == one.diagnostics
+            assert qf.qsol.active_set == one.qsol.active_set
+
+
+def test_tau_sequence_builds_weights_and_bandwidths_once(dataset_m2, monkeypatch):
+    calls = {"cone_project": 0, "mar_weights": 0, "cv_bandwidths": 0}
+
+    def counting(module, attr):
+        original = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counting(first_stage, "cone_project")
+    counting(baselines, "mar_weights")
+    counting(inference, "cv_bandwidths")
+    data = dataset_m2.data
+    for name in ("uncorrected", "mar", "semiparametric_iv"):
+        before = dict(calls)
+        fit(data, [0.25, 0.5, 0.75], name, bandwidth_mode="cv")
+        want = {"cone_project": int(name == "semiparametric_iv"),
+                "mar_weights": int(name == "mar"), "cv_bandwidths": 1}
+        assert {k: calls[k] - before[k] for k in calls} == want
+    with pytest.raises(InputError, match="at least one"):
+        fit(data, [], "uncorrected")

@@ -87,6 +87,32 @@ class TestKernelExactness:
         if d:
             assert floored.any() and not floored.all()
 
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_conditional_density_levels_match_separate_calls(self, d):
+        # k outcome vectors at the same conditioning points give exactly the
+        # rows of k one-dimensional calls and of the oracle, with one mask
+        rng = np.random.default_rng(40 + d)
+        y = 2.0 * rng.standard_normal(700)
+        v = rng.standard_normal((700, d))
+        h = default_bandwidths(np.column_stack([y, v]))
+        y_eval = 6.0 * rng.standard_normal((3, 300))
+        v_eval = 6.0 * rng.standard_normal((300, d))
+        f, floored = conditional_density(y, v, y_eval, v_eval, h, chunk=128)
+        assert f.shape == (3, 300) and floored.shape == (300,)
+        for y_level, f_level in zip(y_eval, f):
+            f_one, floored_one = conditional_density(y, v, y_level, v_eval, h,
+                                                     chunk=128)
+            f_ref, floored_ref = conditional_density_reference(
+                y, v, y_level, v_eval, h, chunk=128)
+            assert np.array_equal(f_level, f_one)
+            assert np.array_equal(f_level, f_ref)
+            assert np.array_equal(floored, floored_one)
+            assert np.array_equal(floored, floored_ref)
+        if d:
+            assert floored.any() and not floored.all()
+        with pytest.raises(InputError, match="shape"):
+            conditional_density(y, v, y_eval[None], v_eval, h)
+
     def test_cv_bandwidths_match_full_array_reference(self):
         rng = np.random.default_rng(30)
         m = 2 * BLOCK_ROWS + 37        # a short last block
@@ -129,17 +155,19 @@ class TestKernelExactness:
 
     def test_conditional_density_memory_is_two_blocks(self):
         # two BLOCK_ROWS x n_obs buffers, whatever the number of evaluations
+        # and of outcome vectors evaluated at them
         n_obs, n_eval, d = 4000, 1000, 2
         rng = np.random.default_rng(33)
         y, v = rng.standard_normal(n_obs), rng.standard_normal((n_obs, d))
         h = default_bandwidths(np.column_stack([y, v]))
-        tracemalloc.start()
-        try:
-            conditional_density(y, v, y[:n_eval], v[:n_eval], h)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * 2 * BLOCK_ROWS * n_obs * 8
+        for y_eval in (y[:n_eval], rng.standard_normal((3, n_eval))):
+            tracemalloc.start()
+            try:
+                conditional_density(y, v, y_eval, v[:n_eval], h)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * 2 * BLOCK_ROWS * n_obs * 8
 
 
 class TestCovariance:
