@@ -1,11 +1,13 @@
-"""Primal active-set solver for small strictly convex QPs.
+"""Least-distance solver for small strictly convex QPs.
 
 Solves  min_x  0.5 x'Qx - q'x  subject to  Ax >= b  where Q is symmetric
 positive definite, the number of variables is small and the number of
-constraints may be large. Steps are computed in the null space of the
-working-set rows; the working set grows by the first blocking constraint
-and shrinks at the most negative multiplier, so termination is finite for
-nondegenerate problems and an iteration cap guards the rest.
+constraints may be large. With Q = LL' and x_u = Q^-1 q the substitution
+z = L'(x - x_u) turns the problem into the least-distance problem
+min 0.5 |z|^2 subject to Gz >= h, G = A L'^-1, h = b - A x_u, which one
+nonnegative least-squares solve settles (Lawson & Hanson, Solving Least
+Squares Problems, 1974, ch. 23). It needs no starting point and no
+iteration cap of its own.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import nnls
 
 from .errors import NumericalError
@@ -23,76 +26,48 @@ class QPSolution:
     x: np.ndarray
     working_set: tuple[int, ...]
     multipliers: np.ndarray     # aligned with working_set
-    iterations: int
+    iterations: int             # NNLS solves: 0 or 1
     objective: float
 
 
-def _null_space(rows: np.ndarray, dim: int) -> np.ndarray:
-    if rows.size == 0:
-        return np.eye(dim)
-    _, s, vt = np.linalg.svd(rows)
-    rank = int((s > 1e-12 * s[0]).sum()) if s.size else 0
-    return vt[rank:].T
+def solve_qp(Q: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray) -> QPSolution:
+    """Solve the QP through its least-distance form and one NNLS call.
 
-
-def solve_qp(Q: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray,
-             x0: np.ndarray, max_iter: int | None = None) -> QPSolution:
-    """Run the active-set iteration from a feasible starting point x0.
-
-    max_iter defaults to 100*(dim+1) + len(b): each iteration adds or drops
-    one working-set row, and large constraint sets (the cone projection's
-    grows with the sample) can take more steps than a cap in dim alone
-    allows. Raises NumericalError if x0 is infeasible or the cap is hit.
+    NNLS of E = [G'; h'] against the last unit vector gives u >= 0 with
+    residual r = Eu - e; then z = -r[:J] / r[J] and the multipliers of
+    Ax >= b are u / -r[J]. The working set is the rows with a positive
+    multiplier. Raises NumericalError if Q has no Cholesky factor, if the
+    constraint set is empty (the NNLS residual vanishes) or if NNLS hits
+    its iteration limit.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
-    dim = len(x)
-    if max_iter is None:
-        max_iter = 100 * (dim + 1) + len(b)
-    if (A @ x - b).min() < -1e-9:
-        raise NumericalError("active-set start point is infeasible")
+    try:
+        L = scipy.linalg.cholesky(Q, lower=True)
+    except np.linalg.LinAlgError:
+        raise NumericalError("QP Hessian is not positive definite")
+    x_u = scipy.linalg.cho_solve((L, True), q)
+    h = b - A @ x_u
+    if (h <= 0.0).all():
+        return QPSolution(x_u, (), np.array([]), 0, _objective(Q, q, x_u))
 
-    work: list[int] = []
-    lam = np.array([])
-    for it in range(max_iter):
-        grad = Q @ x - q
-        Zn = _null_space(A[work], dim)
-        if Zn.shape[1]:
-            reduced = Zn.T @ Q @ Zn
-            try:
-                p = Zn @ np.linalg.solve(reduced, -Zn.T @ grad)
-            except np.linalg.LinAlgError:
-                raise NumericalError("QP Hessian singular on the working-set null space")
-        else:
-            p = np.zeros(dim)
-
-        if np.abs(p).max() <= 1e-11 * max(1.0, np.abs(x).max()):
-            if not work:
-                return QPSolution(x, (), np.array([]), it + 1, _objective(Q, q, x))
-            lam, *_ = np.linalg.lstsq(A[work].T, grad, rcond=None)
-            if lam.min() >= -1e-8 * max(1.0, np.abs(grad).max()):
-                return QPSolution(x, tuple(work), lam, it + 1, _objective(Q, q, x))
-            work.pop(int(np.argmin(lam)))
-            continue
-
-        # step to the nearest blocking constraint (clip FP-negative residuals)
-        Ap = A @ p
-        resid = A @ x - b
-        blocking = Ap < -1e-12
-        alpha, hit = 1.0, None
-        if blocking.any():
-            ratios = np.maximum(resid[blocking], 0.0) / (-Ap[blocking])
-            j = int(np.argmin(ratios))
-            if ratios[j] < 1.0:
-                alpha = float(ratios[j])
-                hit = int(np.where(blocking)[0][j])
-        x = x + alpha * p
-        if hit is not None and len(work) < dim:
-            work.append(hit)
-    raise NumericalError(f"active-set QP did not converge within {max_iter} iterations")
+    E = np.vstack([scipy.linalg.solve_triangular(L, A.T, lower=True), h])
+    e = np.zeros(len(E))
+    e[-1] = 1.0
+    try:
+        u, rnorm = nnls(E, e)
+    except RuntimeError as exc:
+        raise NumericalError(f"least-distance NNLS hit its iteration limit: {exc}")
+    if rnorm <= 1e-12:    # E u reaches e: no z satisfies Gz >= h
+        raise NumericalError("QP constraint set is infeasible")
+    r = E @ u - e
+    z = -r[:-1] / r[-1]
+    x = x_u + scipy.linalg.solve_triangular(L, z, lower=True, trans="T")
+    work = np.flatnonzero(u > 0.0)
+    return QPSolution(x, tuple(int(i) for i in work), u[work] / -r[-1], 1,
+                      _objective(Q, q, x))
 
 
 def _objective(Q, q, x) -> float:

@@ -25,13 +25,15 @@ import numpy as np
 import scipy.linalg
 
 from . import activeset
-from .basis import (BasisPlan, DesignMatrices, build_designs, default_plan,
-                    eval_basis, eval_block)
+from .basis import (BasisPlan, DesignMatrices, _column, build_designs,
+                    default_plan, eval_basis, eval_block)
 from .data import ObservationSet
 from .errors import InputError, NumericalError
 
 KKT_STATIONARITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-8
+Y_GRID_POINTS = 50          # spline-variable grid of the constraint set
+MAX_X_ROWS = 500            # observed rows enforced instead of corners past 8 linear variables
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,6 @@ class FirstStageFit:
     designs: DesignMatrices
     beta_u: np.ndarray
     H_hat: np.ndarray           # J x K, E_n[D phi b']
-    G_hat: np.ndarray           # K x K, E_n[b b']
     c_hat: np.ndarray           # K,   E_n[b]
     projector: np.ndarray       # J x K, H G^-1
     HGinvH: np.ndarray          # J x J, H G^-1 H'
@@ -132,7 +133,7 @@ def estimate_unconstrained(data: ObservationSet,
     except np.linalg.LinAlgError:
         raise NumericalError("first-stage rank condition failed")
     return FirstStageFit(plan=plan, designs=designs, beta_u=beta_u, H_hat=H,
-                         G_hat=G, c_hat=c, projector=projector, HGinvH=M, n=n)
+                         c_hat=c, projector=projector, HGinvH=M, n=n)
 
 
 def moment_residual(fit: FirstStageFit) -> np.ndarray:
@@ -140,7 +141,7 @@ def moment_residual(fit: FirstStageFit) -> np.ndarray:
     return fit.c_hat - fit.H_hat.T @ fit.beta_u
 
 
-def _grid_x_rows(data: ObservationSet, var_names, max_rows: int = 500) -> np.ndarray:
+def _grid_x_rows(data: ObservationSet, var_names) -> np.ndarray:
     """Values of the linear variables at which the bound is enforced off-sample.
 
     Linear variables make each constraint affine in them, so enforcing at
@@ -150,21 +151,15 @@ def _grid_x_rows(data: ObservationSet, var_names, max_rows: int = 500) -> np.nda
     """
     if not var_names:
         return np.zeros((1, 0))
-    cols = np.column_stack([_named_column(data, v) for v in var_names])
+    cols = np.column_stack([_column(data, v) for v in var_names])
     if len(var_names) <= 8:
         ranges = [(c.min(), c.max()) for c in cols.T]
         return np.array(list(itertools.product(*ranges)))
-    idx = np.unique(np.linspace(0, data.n - 1, max_rows).round().astype(int))
+    idx = np.unique(np.linspace(0, data.n - 1, MAX_X_ROWS).round().astype(int))
     return cols[idx]
 
 
-def _named_column(data: ObservationSet, name: str) -> np.ndarray:
-    kind, i = name[0], int(name[1:])
-    return data.w[:, i] if kind == "w" else data.x[:, i]
-
-
-def constraint_matrix(fit: FirstStageFit, data: ObservationSet,
-                      n_grid: int = 50) -> np.ndarray:
+def constraint_matrix(fit: FirstStageFit, data: ObservationSet) -> np.ndarray:
     """Rows of phi at every point where g >= 1 is enforced.
 
     The set is the selected sample points plus a uniform grid over the
@@ -175,7 +170,7 @@ def constraint_matrix(fit: FirstStageFit, data: ObservationSet,
     spec = fit.plan.phi
     xrows = _grid_x_rows(data, spec.linear_vars)
     if spec.knots is not None:
-        ygrid = np.linspace(spec.knots.lo, spec.knots.hi, n_grid)
+        ygrid = np.linspace(spec.knots.lo, spec.knots.hi, Y_GRID_POINTS)
         lead = eval_basis(spec.knots, ygrid)
     else:
         lead = np.ones((1, 1))
@@ -189,10 +184,10 @@ def cone_project(fit: FirstStageFit, data: ObservationSet) -> FirstStageFit:
     """Least-squares projection of g_u onto {h in span(phi): h >= 1}.
 
     Minimizes the selected-sample mean of (g_u - h)^2 subject to the bound
-    on the constraint set, by primal active-set QP started from the
-    strictly feasible constant-2 function. The result is KKT-audited. The
-    projection problem depends only on beta_u and the data, so re-running
-    on an already projected fit reproduces beta_c bit for bit.
+    on the constraint set. The QP is solved as a least-distance problem by
+    one NNLS call (activeset.solve_qp), then KKT-audited; the audit decides
+    acceptance. The projection problem depends only on beta_u and the data,
+    so re-running on an already projected fit reproduces beta_c bit for bit.
     """
     A = constraint_matrix(fit, data)
     b = np.ones(len(A))
@@ -203,16 +198,9 @@ def cone_project(fit: FirstStageFit, data: ObservationSet) -> FirstStageFit:
     if (A @ fit.beta_u).min() >= 1.0 - 1e-9:
         kkt = activeset.kkt_residuals(Q, q, A, b, fit.beta_u)
         return replace(fit, beta_c=fit.beta_u.copy(), constraint_points=A,
-                       kkt={**kkt, "multipliers": None, "active_set_size": 0})
+                       kkt={**kkt, "active_set_size": 0})
 
-    x0 = np.zeros(fit.plan.j)
-    lead = 1 if fit.plan.phi.knots is None else fit.plan.phi.knots.n_basis
-    x0[:lead] = 2.0   # constant function 2 via partition of unity
-    if (A @ x0).min() < 1.0 + 1e-9:
-        raise NumericalError("cone projection lacks a strictly feasible constant; "
-                             "the basis does not span constants")
-
-    sol = activeset.solve_qp(Q, q, A, b, x0)
+    sol = activeset.solve_qp(Q, q, A, b)
     kkt = activeset.kkt_residuals(Q, q, A, b, sol.x)
     scale = max(1.0, np.abs(Q @ sol.x - q).max())
     if kkt["stationarity"] > KKT_STATIONARITY_TOL * scale:
@@ -220,9 +208,7 @@ def cone_project(fit: FirstStageFit, data: ObservationSet) -> FirstStageFit:
     if kkt["feasibility"] > FEASIBILITY_TOL:
         raise NumericalError("cone projection returned an infeasible point")
     return replace(fit, beta_c=sol.x, constraint_points=A,
-                   kkt={**kkt, "iterations": sol.iterations,
-                        "active_set_size": len(sol.working_set),
-                        "multipliers": None})
+                   kkt={**kkt, "active_set_size": len(sol.working_set)})
 
 
 def weights(fit: FirstStageFit, data: ObservationSet,

@@ -123,8 +123,7 @@ def cv_bandwidths(V: np.ndarray, multipliers=None, max_rows: int = 2000) -> np.n
     return best * h0
 
 
-def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths,
-                        chunk: int = BLOCK_ROWS):
+def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths):
     """Nadaraya-Watson conditional density with product Gaussian kernels.
 
     f(y | v) = sum_j K_h0(y - y_j) prod_d K_hd(v_d - v_jd)
@@ -137,10 +136,11 @@ def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths,
     the n_eval rows whose denominator hit the 1e-12 floor, which does not
     depend on y).
 
-    Evaluations run in chunks of `chunk` rows through two chunk x n_obs
-    buffers, whatever k is. Each chunk builds the conditioning kernel and
-    its denominator once, then the outcome kernel of each of the k rows in
-    turn, so every value equals that of a one-dimensional call.
+    Evaluations run in blocks of BLOCK_ROWS rows through two
+    BLOCK_ROWS x n_obs buffers, whatever k is. Each block builds the
+    conditioning kernel and its denominator once, then the outcome kernel
+    of each of the k rows in turn, so every value equals that of a
+    one-dimensional call.
     """
     y_obs = np.asarray(y_obs, dtype=float)
     y_eval = np.asarray(y_eval, dtype=float)
@@ -159,11 +159,11 @@ def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths,
     out = np.empty(levels.shape)
     floored = np.zeros(n_eval, dtype=bool)
     h0, hv = bandwidths[0], bandwidths[1:]
-    rows = min(chunk, n_eval)
+    rows = min(BLOCK_ROWS, n_eval)
     kv_buf = np.empty((rows, len(y_obs)))
     work_buf = np.empty((rows, len(y_obs)))
-    for lo in range(0, n_eval, chunk):
-        sl = slice(lo, lo + chunk)
+    for lo in range(0, n_eval, BLOCK_ROWS):
+        sl = slice(lo, lo + BLOCK_ROWS)
         kv = kv_buf[:len(floored[sl])]
         work = work_buf[:len(kv)]
         if v_obs.shape[1] == 0:

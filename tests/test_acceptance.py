@@ -143,7 +143,7 @@ def test_criterion_6_cone_projection_oracle():
         A = rng.standard_normal((3, 3))
         x_feas = rng.standard_normal(3)
         b = A @ x_feas - rng.random(3)
-        sol = solve_qp(Q, q, A, b, x_feas)
+        sol = solve_qp(Q, q, A, b)
         _, obj_oracle = enumerate_qp(Q, q, A, b)
         worst = max(worst, abs(sol.objective - obj_oracle))
         assert abs(sol.objective - obj_oracle) < 1e-8

@@ -74,12 +74,12 @@ class TestKernelExactness:
         y = 2.0 * rng.standard_normal(700)
         v = rng.standard_normal((700, d))
         h = default_bandwidths(np.column_stack([y, v]))
-        # 300 evaluations in chunks of 128 leave a short last chunk; the
+        # 300 = 4 * 64 + 44 evaluations leave a short last block; the
         # wide spread drives some kernels to underflow and some
         # denominators to the floor
         y_eval = 6.0 * rng.standard_normal(300)
         v_eval = 6.0 * rng.standard_normal((300, d))
-        f, floored = conditional_density(y, v, y_eval, v_eval, h, chunk=128)
+        f, floored = conditional_density(y, v, y_eval, v_eval, h)
         f_ref, floored_ref = conditional_density_reference(
             y, v, y_eval, v_eval, h, chunk=128)
         assert np.array_equal(f, f_ref)
@@ -97,11 +97,10 @@ class TestKernelExactness:
         h = default_bandwidths(np.column_stack([y, v]))
         y_eval = 6.0 * rng.standard_normal((3, 300))
         v_eval = 6.0 * rng.standard_normal((300, d))
-        f, floored = conditional_density(y, v, y_eval, v_eval, h, chunk=128)
+        f, floored = conditional_density(y, v, y_eval, v_eval, h)
         assert f.shape == (3, 300) and floored.shape == (300,)
         for y_level, f_level in zip(y_eval, f):
-            f_one, floored_one = conditional_density(y, v, y_level, v_eval, h,
-                                                     chunk=128)
+            f_one, floored_one = conditional_density(y, v, y_level, v_eval, h)
             f_ref, floored_ref = conditional_density_reference(
                 y, v, y_level, v_eval, h, chunk=128)
             assert np.array_equal(f_level, f_one)
