@@ -23,7 +23,7 @@ from .inference import (CovarianceEstimate, conditional_density,
                         confidence_intervals, covariance, cv_bandwidths,
                         default_bandwidths)
 from .qr import (QuantileProblem, QuantileSolution, check_loss,
-                 quantile_score, solve, subgradient_interval)
+                 quantile_score, solve)
 from .simlab import GeneratedDataset, MetricsTable, SimulationSpec, generate, run
 
 __all__ = [
@@ -37,5 +37,5 @@ __all__ = [
     "default_plan", "estimate_unconstrained", "eval_basis", "fit", "fit_mar",
     "fit_semiparametric_iv", "fit_uncorrected", "generate", "ingest_csv",
     "make_knots", "moment_residual", "probit_fit", "quantile_score",
-    "run", "solve", "subgradient_interval", "weights", "write_csv",
+    "run", "solve", "weights", "write_csv",
 ]

@@ -20,12 +20,13 @@ from scipy.optimize import nnls
 
 from .errors import NumericalError
 
+KKT_ACTIVE_TOL = 1e-7       # relative slack under which a constraint counts as active
+
 
 @dataclass(frozen=True)
 class QPSolution:
     x: np.ndarray
     working_set: tuple[int, ...]
-    multipliers: np.ndarray     # aligned with working_set
     iterations: int             # NNLS solves: 0 or 1
     objective: float
 
@@ -51,7 +52,7 @@ def solve_qp(Q: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray) -> QPSo
     x_u = scipy.linalg.cho_solve((L, True), q)
     h = b - A @ x_u
     if (h <= 0.0).all():
-        return QPSolution(x_u, (), np.array([]), 0, _objective(Q, q, x_u))
+        return QPSolution(x_u, (), 0, _objective(Q, q, x_u))
 
     E = np.vstack([scipy.linalg.solve_triangular(L, A.T, lower=True), h])
     e = np.zeros(len(E))
@@ -66,27 +67,28 @@ def solve_qp(Q: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray) -> QPSo
     z = -r[:-1] / r[-1]
     x = x_u + scipy.linalg.solve_triangular(L, z, lower=True, trans="T")
     work = np.flatnonzero(u > 0.0)
-    return QPSolution(x, tuple(int(i) for i in work), u[work] / -r[-1], 1,
-                      _objective(Q, q, x))
+    return QPSolution(x, tuple(int(i) for i in work), 1, _objective(Q, q, x))
 
 
 def _objective(Q, q, x) -> float:
     return float(0.5 * x @ Q @ x - q @ x)
 
 
-def kkt_residuals(Q, q, A, b, x, active_tol: float = 1e-7) -> dict:
+def kkt_residuals(Q, q, A, b, x) -> dict:
     """Stationarity / feasibility / complementarity residuals at x.
 
-    Multipliers are recomputed by least squares on the constraints active at
-    x, independent of how x was obtained, so this audits any candidate
-    solution. When more rows are active than there are variables, the
-    minimum-norm least-squares multipliers can be negative at a true
-    optimum; they are then recomputed by nonnegative least squares on the
-    same rows, whose residual is the reported stationarity.
+    A constraint is active when its slack A_i x - b_i is at most
+    KKT_ACTIVE_TOL * max(1, max |b|). Multipliers are recomputed by least
+    squares on the active constraints, independent of how x was obtained,
+    so this audits any candidate solution. When more rows are active than
+    there are variables, the minimum-norm least-squares multipliers can be
+    negative at a true optimum; they are then recomputed by nonnegative
+    least squares on the same rows, whose residual is the reported
+    stationarity.
     """
     grad = Q @ x - q
     resid = A @ x - b
-    active = np.where(resid <= active_tol * max(1.0, np.abs(b).max()))[0]
+    active = np.where(resid <= KKT_ACTIVE_TOL * max(1.0, np.abs(b).max()))[0]
     if active.size:
         lam, *_ = np.linalg.lstsq(A[active].T, grad, rcond=None)
         if lam.min() < 0.0:

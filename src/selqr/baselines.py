@@ -11,6 +11,7 @@ from .data import ObservationSet
 from .errors import InputError, NumericalError
 
 PROBIT_GRAD_TOL = 1e-8
+PROBIT_MAX_ITER = 200
 SEPARATION_BOUND = 30.0
 
 
@@ -19,7 +20,6 @@ class ProbitFit:
     """MLE of P(D=1 | X) = Phi(X' gamma)."""
 
     gamma: np.ndarray
-    converged: bool
     iterations: int
     loglik: float
 
@@ -42,11 +42,14 @@ def _probit_parts(gamma, d, X):
     return ll, grad, hess, s
 
 
-def probit_fit(d: np.ndarray, X: np.ndarray, max_iter: int = 200) -> ProbitFit:
+def probit_fit(d: np.ndarray, X: np.ndarray) -> ProbitFit:
     """Newton-Raphson with step halving; converges on the gradient norm.
 
-    X must already carry its intercept column. Raises on detected
-    separation (diverging linear predictor) and on non-convergence.
+    X must already carry its intercept column. The gradient is checked
+    before each of at most PROBIT_MAX_ITER Newton steps, so a returned fit
+    has converged (every entry below PROBIT_GRAD_TOL). Raises
+    NumericalError on detected separation (diverging linear predictor) and
+    when no check passes.
     """
     d = np.asarray(d, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -56,10 +59,9 @@ def probit_fit(d: np.ndarray, X: np.ndarray, max_iter: int = 200) -> ProbitFit:
         raise InputError("probit response is constant")
     gamma = np.zeros(X.shape[1])
     ll, grad, hess, s = _probit_parts(gamma, d, X)
-    for it in range(1, max_iter + 1):
+    for it in range(1, PROBIT_MAX_ITER + 1):
         if np.abs(grad).max() < PROBIT_GRAD_TOL:
-            return ProbitFit(gamma=gamma, converged=True, iterations=it - 1,
-                             loglik=ll)
+            return ProbitFit(gamma=gamma, iterations=it - 1, loglik=ll)
         try:
             step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
@@ -77,8 +79,8 @@ def probit_fit(d: np.ndarray, X: np.ndarray, max_iter: int = 200) -> ProbitFit:
         if np.abs(s).max() > SEPARATION_BOUND:
             raise NumericalError("probit separation detected (monotone likelihood)")
     raise NumericalError(
-        f"probit did not converge in {max_iter} iterations; last iterate {gamma}, "
-        f"gradient norm {np.abs(grad).max():.3e}")
+        f"probit did not converge in {PROBIT_MAX_ITER} iterations; last iterate "
+        f"{gamma}, gradient norm {np.abs(grad).max():.3e}")
 
 
 def mar_weights(data: ObservationSet, trim_floor: float = 0.01):

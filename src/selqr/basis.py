@@ -126,9 +126,9 @@ class BlockSpec:
         return lead + len(self.linear_vars)
 
 
-def _column(data: ObservationSet, name: str, y_fill: float = 0.0) -> np.ndarray:
+def _column(data: ObservationSet, name: str) -> np.ndarray:
     if name == "y":
-        return data.y_filled(y_fill)
+        return data.y_filled()
     kind, idx = name[0], name[1:]
     try:
         i = int(idx)
@@ -141,14 +141,15 @@ def _column(data: ObservationSet, name: str, y_fill: float = 0.0) -> np.ndarray:
     raise InputError(f"unknown variable name {name!r}")
 
 
-def eval_block(spec: BlockSpec, data: ObservationSet, y_fill: float = 0.0) -> np.ndarray:
+def eval_block(spec: BlockSpec, data: ObservationSet) -> np.ndarray:
+    """One block evaluated on every row; unselected rows take y = 0 (clamped)."""
     cols = []
     if spec.knots is None:
         cols.append(np.ones(data.n))
     else:
-        cols.append(eval_basis(spec.knots, _column(data, spec.spline_var, y_fill)))
+        cols.append(eval_basis(spec.knots, _column(data, spec.spline_var)))
     for name in spec.linear_vars:
-        cols.append(_column(data, name, y_fill))
+        cols.append(_column(data, name))
     return np.column_stack(cols)
 
 
@@ -180,34 +181,28 @@ class DesignMatrices:
     """Row-wise evaluations of the two first-stage bases.
 
     phi is pre-multiplied by D, so unselected rows are zero; B is evaluated
-    on every row. phi_raw (evaluated at the D*Y = 0 convention for
-    unselected rows, clamped) is available on request.
+    on every row.
     """
 
     phi: np.ndarray
     b: np.ndarray
-    selected: np.ndarray
-    plan: BasisPlan
 
     def __post_init__(self):
         for a in (self.phi, self.b):
             a.setflags(write=False)
 
 
-def build_designs(data: ObservationSet, plan: BasisPlan,
-                  mask_unselected: bool = True) -> DesignMatrices:
+def build_designs(data: ObservationSet, plan: BasisPlan) -> DesignMatrices:
     """Assemble Phi (n x J) and B (n x K) for a sample.
 
-    With mask_unselected (the default), Phi rows with D_i = 0 are zeroed;
-    otherwise they hold the clamped evaluation at (0, X_i).
+    Phi rows with D_i = 0 are zeroed; `eval_block(plan.phi, data)` gives
+    the unmasked rows, which hold the clamped evaluation at (0, X_i).
     """
-    phi = eval_block(plan.phi, data)
-    if mask_unselected:
-        phi = phi * data.selected[:, None]
+    phi = eval_block(plan.phi, data) * data.selected[:, None]
     b = eval_block(plan.b, data)
     if phi.shape[1] != plan.j or b.shape[1] != plan.k:
         raise InputError("plan dimensions inconsistent with the data")
-    return DesignMatrices(phi=phi, b=b, selected=data.selected.copy(), plan=plan)
+    return DesignMatrices(phi=phi, b=b)
 
 
 def default_plan(data: ObservationSet,

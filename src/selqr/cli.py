@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,15 +49,8 @@ class RunConfig:
             raise InputError(f"unknown estimator(s) {sorted(unknown)}")
 
     def to_dict(self) -> dict:
-        return {
-            "taus": list(self.taus), "y_degree": self.y_degree,
-            "y_interior_knots": self.y_interior_knots,
-            "w_degree": self.w_degree,
-            "w_interior_knots": self.w_interior_knots,
-            "bandwidth_mode": self.bandwidth_mode,
-            "trim_floor": self.trim_floor,
-            "estimators": list(self.estimators), "level": self.level,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -134,10 +127,10 @@ def _write_cdf_csv(rows, stream):
 
 
 def _add_basis_flags(p):
-    p.add_argument("--y-degree", type=int, default=2)
-    p.add_argument("--y-interior-knots", type=int, default=0)
-    p.add_argument("--w-degree", type=int, default=2)
-    p.add_argument("--w-interior-knots", type=int, default=2)
+    # every default is RunConfig's, so it is stated once
+    for name in ("y_degree", "y_interior_knots", "w_degree", "w_interior_knots"):
+        p.add_argument("--" + name.replace("_", "-"), type=int,
+                       default=getattr(RunConfig, name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,13 +144,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--map", required=True,
                        help="column map, e.g. d=d,y=y,w=w0,x=x0+x1")
-    p_fit.add_argument("--tau", default="0.5", help="comma-separated levels")
-    p_fit.add_argument("--estimators", default="semiparametric_iv",
+    p_fit.add_argument("--tau", default=",".join(map(str, RunConfig.taus)),
+                       help="comma-separated levels")
+    p_fit.add_argument("--estimators", default=",".join(RunConfig.estimators),
                        help="comma-separated subset of "
                             "uncorrected,mar,semiparametric_iv")
     _add_basis_flags(p_fit)
-    p_fit.add_argument("--bandwidth-mode", choices=("rot", "cv"), default="rot")
-    p_fit.add_argument("--trim-floor", type=float, default=0.01)
+    p_fit.add_argument("--bandwidth-mode", choices=("rot", "cv"),
+                       default=RunConfig.bandwidth_mode)
+    p_fit.add_argument("--trim-floor", type=float, default=RunConfig.trim_floor)
     p_fit.add_argument("--out", help="report JSON path (default: stdout)")
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo harness")

@@ -38,6 +38,8 @@ class ObservationSet:
     def __post_init__(self):
         # copy before freezing so caller-owned arrays stay writable
         d = np.array(self.d, dtype=int)
+        if d.size == 0:
+            raise InputError("a sample needs at least one row")
         y = np.array(self.y, dtype=float)
         w = np.atleast_2d(np.array(self.w, dtype=float))
         x = np.array(self.x, dtype=float).reshape(len(d), -1)
@@ -79,10 +81,6 @@ class ObservationSet:
     def design_z(self) -> np.ndarray:
         """Quantile-regression design Z = (1, X, W) per row."""
         return np.column_stack([np.ones(self.n), self.x, self.w])
-
-    @property
-    def d_z(self) -> int:
-        return 1 + self.x.shape[1] + self.w.shape[1]
 
     def z_labels(self) -> list[str]:
         labels = ["intercept"]

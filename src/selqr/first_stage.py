@@ -47,7 +47,6 @@ class FirstStageFit:
     c_hat: np.ndarray           # K,   E_n[b]
     projector: np.ndarray       # J x K, H G^-1
     HGinvH: np.ndarray          # J x J, H G^-1 H'
-    n: int
     beta_c: np.ndarray | None = None
     constraint_points: np.ndarray | None = None   # rows of phi at enforced points
     kkt: dict | None = None
@@ -83,7 +82,6 @@ class WeightVector:
 
     omega: np.ndarray
     selected: np.ndarray
-    mode: str
 
     def __post_init__(self):
         self.omega.setflags(write=False)
@@ -93,13 +91,12 @@ class WeightVector:
             raise NumericalError("selected-row weights must be >= 1")
 
 
-def _solve_spd(M: np.ndarray, rhs: np.ndarray, jitter: bool = False):
-    """Cholesky solve, optionally retrying once with a ridge jitter."""
+def _solve_spd(M: np.ndarray, rhs: np.ndarray):
+    """Cholesky solve, retried once with a ridge of 1e-10 tr(M)/dim if M does
+    not factor; LinAlgError if the ridged M does not factor either."""
     try:
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), rhs)
     except np.linalg.LinAlgError:
-        if not jitter:
-            raise
         ridge = 1e-10 * np.trace(M) / M.shape[0]
         return scipy.linalg.cho_solve(
             scipy.linalg.cho_factor(M + ridge * np.eye(M.shape[0])), rhs)
@@ -123,7 +120,7 @@ def estimate_unconstrained(data: ObservationSet,
     G = designs.b.T @ designs.b / n
     c = designs.b.mean(axis=0)
     try:
-        GinvHt = _solve_spd(G, H.T, jitter=True)
+        GinvHt = _solve_spd(G, H.T)
     except np.linalg.LinAlgError:
         raise NumericalError("first-stage rank condition failed (G singular)")
     projector = GinvHt.T              # H G^-1
@@ -133,7 +130,7 @@ def estimate_unconstrained(data: ObservationSet,
     except np.linalg.LinAlgError:
         raise NumericalError("first-stage rank condition failed")
     return FirstStageFit(plan=plan, designs=designs, beta_u=beta_u, H_hat=H,
-                         c_hat=c, projector=projector, HGinvH=M, n=n)
+                         c_hat=c, projector=projector, HGinvH=M)
 
 
 def moment_residual(fit: FirstStageFit) -> np.ndarray:
@@ -229,4 +226,4 @@ def weights(fit: FirstStageFit, data: ObservationSet,
         raise InputError(f"unknown weight mode {mode!r}")
     omega = np.zeros(data.n)
     omega[data.selected] = np.maximum(g_sel, 1.0)
-    return WeightVector(omega=omega, selected=data.selected, mode=mode)
+    return WeightVector(omega=omega, selected=data.selected)

@@ -32,7 +32,6 @@ log = logging.getLogger(__name__)
 
 DENSITY_FLOOR = 1e-12
 CONSTANT_DIM_TOL = 1e-8
-PSD_CLIP_TOL = 1e-10
 BLOCK_ROWS = 64          # rows per kernel block: two 64 x 1000 blocks are 1 MB
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
@@ -191,10 +190,8 @@ class CovarianceEstimate:
     """Asymptotic covariance of sqrt(n)(theta_hat - theta) plus intervals."""
 
     sigma: np.ndarray
-    level: float
     ci: np.ndarray              # (d_z, 2)
     se: np.ndarray              # sqrt(diag(sigma) / n)
-    n: int
     min_eigenvalue: float       # before PSD clipping
     density_floored: int
 
@@ -302,6 +299,6 @@ def covariance(fit: FirstStageFit | None,
         ci = confidence_intervals(q.theta, sigma, n, level)
         se = np.sqrt(np.clip(np.diag(sigma), 0.0, None) / n)
         estimates.append(CovarianceEstimate(
-            sigma=sigma, level=level, ci=ci, se=se, n=n, min_eigenvalue=min_eig,
+            sigma=sigma, ci=ci, se=se, min_eigenvalue=min_eig,
             density_floored=int(floored.sum())))
     return estimates[0] if single else estimates

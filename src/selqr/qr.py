@@ -186,20 +186,3 @@ def kb_stationarity(Z, resid, w, tau, zero_tol=1e-9) -> float:
         a_h = lsq_linear(Zh_t, -base, bounds=(lo, hi), method="bvls").x
     return float(np.abs(base + Zh_t @ a_h).max())
 
-
-def subgradient_interval(Z, resid, w, tau, zero_tol=1e-9):
-    """Componentwise range of the subgradient over score choices at zeros.
-
-    Returns (lo, hi) arrays; optimality of theta is equivalent to
-    lo_k <= 0 <= hi_k for every coordinate k.
-    """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    resid = np.asarray(resid, dtype=float)
-    w = np.asarray(w, dtype=float)
-    zero = np.abs(resid) <= zero_tol
-    base = ((w * quantile_score(resid, tau)) * (~zero)) @ Z
-    contrib_lo = (w[zero, None] * Z[zero]) * (tau - 1)
-    contrib_hi = (w[zero, None] * Z[zero]) * tau
-    lo = base + np.minimum(contrib_lo, contrib_hi).sum(axis=0)
-    hi = base + np.maximum(contrib_lo, contrib_hi).sum(axis=0)
-    return lo, hi

@@ -55,6 +55,8 @@ class SimulationSpec:
             raise InputError(f"setting must be one of {SETTINGS}")
         if self.mechanism not in MECHANISMS:
             raise InputError(f"mechanism must be one of {MECHANISMS}")
+        if self.n < 1:
+            raise InputError("n must be >= 1")
         if self.reps < 1:
             raise InputError("reps must be >= 1")
         if not 0.0 < self.tau < 1.0:
@@ -77,11 +79,11 @@ class GeneratedDataset:
     tau: float
 
 
-def _mixture_quantile(tau: float, tol: float = 1e-10) -> float:
-    """tau-quantile of 0.4 N(0, 1.5^2) + 0.6 N(0, 1), by bisection."""
+def _mixture_quantile(tau: float) -> float:
+    """tau-quantile of 0.4 N(0, 1.5^2) + 0.6 N(0, 1), by bisection to 1e-10."""
     cdf = lambda v: 0.4 * norm.cdf(v / 1.5) + 0.6 * norm.cdf(v)
     lo, hi = -20.0, 20.0
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if cdf(mid) < tau:
             lo = mid

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from selqr import (ColumnMap, InputError, NumericalError, SimulationSpec,
                    corrected_cdf, default_plan, first_stage, fit, fit_mar,
                    fit_semiparametric_iv, generate, ingest_csv, write_csv)
-from selqr.cli import _write_cdf_csv, main, parse_column_map
+from selqr.cli import RunConfig, _write_cdf_csv, main, parse_column_map
 from conftest import toy_data
 
 
@@ -90,6 +90,14 @@ class TestFitCommand:
         assert_allclose(sigma, sigma.T)
         assert "moment_residual_max" in iv["diagnostics"]
         assert "moment_residual_max" not in est["uncorrected"]["diagnostics"]
+
+    def test_default_config_hash_is_pinned(self, tmp_path, capsys):
+        # moving a default of RunConfig or of its flags changes this hash
+        assert RunConfig().hash() == "6851edb0da99961e"
+        p, _ = _sim_csv(tmp_path, n=400)
+        assert main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config_hash"] == "6851edb0da99961e"
 
     def test_fit_recovers_truth_on_large_sample(self, tmp_path):
         p, gd = _sim_csv(tmp_path, n=5000)
@@ -233,6 +241,12 @@ class TestSimulateCommand:
         lines = (tmp_path / "m.csv").read_text().strip().splitlines()
         assert lines[0] == "estimator,coefficient,metric,value"
         assert len(lines) == 1 + 1 * 3 * 4
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_n_is_an_input_error(self, n, capsys):
+        assert main(["simulate", "--setting", "C", "--mechanism", "M2",
+                     "--n", n, "--reps", "1"]) == 2
+        assert "input error: n must be >= 1" in capsys.readouterr().err
 
 
 class TestCdfCommand:

@@ -193,3 +193,8 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, d_x):
         used = write_csv(p, data, colmap)
         assert p.read_bytes() == write_csv_reference(data, used)
         assert_bit_equal(ingest_csv(p, used), data)
+
+
+def test_empty_sample_is_an_input_error():
+    with pytest.raises(InputError, match="at least one row"):
+        ObservationSet(d=[], y=[], w=np.zeros((0, 1)), x=np.zeros((0, 1)))

@@ -37,3 +37,11 @@ def test_demo_imports_resolve(path):
         assert (hasattr(module, name)
                 or importlib.util.find_spec(f"{module_name}.{name}") is not None), \
             f"{path.name}: 'from {module_name} import {name}' does not resolve"
+
+
+def test_public_names_resolve_once():
+    # a name left in __all__ after its object is deleted breaks `import *`
+    import selqr
+    assert len(selqr.__all__) == len(set(selqr.__all__))
+    missing = [name for name in selqr.__all__ if not hasattr(selqr, name)]
+    assert not missing, f"selqr.__all__ names missing objects: {missing}"
