@@ -46,10 +46,10 @@ def probit_fit(d: np.ndarray, X: np.ndarray) -> ProbitFit:
     """Newton-Raphson with step halving; converges on the gradient norm.
 
     X must already carry its intercept column. The gradient is checked
-    before each of at most PROBIT_MAX_ITER Newton steps, so a returned fit
-    has converged (every entry below PROBIT_GRAD_TOL). Raises
-    NumericalError on detected separation (diverging linear predictor) and
-    when no check passes.
+    before each of at most PROBIT_MAX_ITER Newton steps and after the last
+    one, so a returned fit has converged (every entry below
+    PROBIT_GRAD_TOL). Raises NumericalError on detected separation
+    (diverging linear predictor) and when no check passes.
     """
     d = np.asarray(d, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -59,9 +59,11 @@ def probit_fit(d: np.ndarray, X: np.ndarray) -> ProbitFit:
         raise InputError("probit response is constant")
     gamma = np.zeros(X.shape[1])
     ll, grad, hess, s = _probit_parts(gamma, d, X)
-    for it in range(1, PROBIT_MAX_ITER + 1):
+    for it in range(PROBIT_MAX_ITER + 1):
         if np.abs(grad).max() < PROBIT_GRAD_TOL:
-            return ProbitFit(gamma=gamma, iterations=it - 1, loglik=ll)
+            return ProbitFit(gamma=gamma, iterations=it, loglik=ll)
+        if it == PROBIT_MAX_ITER:
+            break
         try:
             step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:

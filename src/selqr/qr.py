@@ -6,19 +6,27 @@ solved in its dual form (Koenker 2005, Quantile Regression, sec. 6.2)
 
 maximize_a  y'a   s.t.  Z'a = 0,  -(1-tau) w_i <= a_i <= tau w_i,
 
-an LP with d equality rows and n box-bounded columns, by HiGHS dual
-simplex. theta is the vector of multipliers of the equality rows. At a
-basic solution the d basic columns are rows whose residual is zero, so
-theta is a vertex of the primal problem. Where exactly d residuals are
-zero, theta is re-solved from those rows. Every solution is checked
-against the exact Koenker-Bassett optimality condition
-(`kb_stationarity`).
+an LP with d equality rows and n box-bounded columns, whose equality
+multipliers are theta. Two paths solve it:
+
+1. A Frisch-Newton interior point (Portnoy & Koenker 1997; quantreg's
+   `rq.fit.fnb`). The first d linearly independent rows in order of
+   |residual| at its last iterate, on continuous data the d smallest, are
+   taken as the vertex, and theta is re-solved from them.
+2. HiGHS dual simplex, when the interior point stops short or its vertex
+   fails the certificate. At its basic solution the d basic columns are
+   rows whose residual is zero; where exactly d residuals are zero, theta
+   is re-solved from those rows.
+
+The exact Koenker-Bassett optimality condition (`kb_stationarity`) alone
+decides which point is returned: every returned point has passed it.
 
 The same inputs always give the same output. When the minimum is unique,
-which is the generic case for continuous data, theta does not depend on
-the order of the rows beyond rounding. In a flat minimum, the optimal
-vertex returned depends on the solver's pivoting, so a row permutation
-can return a different vertex with the same objective.
+which is the generic case for continuous data, both paths reach the same
+vertex, and theta does not depend on the order of the rows beyond
+rounding. In a flat minimum, the optimal vertex returned depends on the
+path and on its iterates or pivoting, so a row permutation can return a
+different vertex with the same objective.
 """
 
 from __future__ import annotations
@@ -26,12 +34,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog, lsq_linear
 
 from .errors import InputError, NumericalError
 
 # ulp doublings _interpolate tries; 2**20 ulps stays below solve's zero_tol
 INTERPOLATE_STEPS = 21
+
+# Frisch-Newton interior point
+FN_STEP = 0.99995     # fraction of the distance to the boundary each step takes
+FN_GAP_TOL = 1e-10    # stopping duality gap, relative to sum_i w_i |y_i|
+FN_MAX_ITER = 50      # past this, solve falls back to HiGHS
+
+# at HiGHS's default (1e-7), dual simplex stopped at a non-optimal vertex
+# of a simulated n = 1000 problem, a row of residual 4.9e-8 on the wrong
+# bound
+HIGHS_DUAL_FEASIBILITY_TOL = 1e-10
 
 
 def check_loss(u, tau: float):
@@ -91,44 +110,149 @@ class QuantileSolution:
 def solve(problem: QuantileProblem) -> QuantileSolution:
     """Exact minimizer of the weighted check loss, from the dual LP.
 
-    HiGHS dual simplex solves max y'a s.t. Z'a = 0 over the box
-    -(1-tau) w <= a <= tau w, and theta is read from the multipliers of the
-    d equality rows. Where exactly d residuals are zero up to rounding,
-    theta is re-solved from those rows, so the vertex interpolates them to
-    rounding, with nonnegative residuals (`_interpolate`). The returned
-    point then passes the Koenker-Bassett certificate (`kb_stationarity`),
-    computed from the data and theta alone; a point that fails it raises
+    The Frisch-Newton interior point runs first (`_interior_point_vertex`).
+    When it reaches FN_MAX_ITER, when a Cholesky factorization fails, or
+    when its vertex fails the certificate, HiGHS dual simplex solves the
+    same LP (`_highs_vertex`). Each path re-solves theta from d rows where
+    it identifies them, so the vertex interpolates them to rounding, with
+    nonnegative residuals (`_interpolate`). The returned point passes the
+    Koenker-Bassett certificate (`kb_stationarity`), computed from the data
+    and theta alone; when the HiGHS point fails it too, solve raises
     NumericalError.
     """
     keep = problem.w > 0
     Z, y, w = problem.Z[keep], problem.y[keep], problem.w[keep]
-    d = Z.shape[1]
-    if np.linalg.matrix_rank(Z) < d:
+    if np.linalg.matrix_rank(Z) < Z.shape[1]:
         raise NumericalError("rank-deficient quantile design")
     tau = problem.tau
+    zero_tol = 1e-9 * max(1.0, np.abs(y).max())
+    slack = 1e-6 * max(1.0, float(np.abs(w @ np.abs(Z)).max()))
 
+    def certified(theta):
+        return kb_stationarity(Z, y - Z @ theta, w, tau, zero_tol=zero_tol) <= slack
+
+    theta = _interior_point_vertex(Z, y, w, tau)
+    if theta is None or not certified(theta):
+        theta = _highs_vertex(Z, y, w, tau, zero_tol)
+        if not certified(theta):
+            raise NumericalError("quantile solution violates the optimality certificate")
+    resid = y - Z @ theta
+    zero = np.abs(resid) <= zero_tol
+    objective = float(np.sum(w * check_loss(resid, tau)))
+    orig = np.flatnonzero(keep)
+    return QuantileSolution(theta=theta, objective=objective,
+                            active_set=tuple(int(i) for i in orig[zero]), tau=tau)
+
+
+def _interior_point_vertex(Z, y, w, tau):
+    """The vertex the interior point ends at, or None when it stops short.
+
+    Going through the rows in order of |y - Z theta| at the last iterate,
+    the first d that are linearly independent are re-solved in index order
+    (`_interpolate`). On continuous data these are the d rows of smallest
+    |residual|, and on the same rows the vertex is bit for bit that of
+    `_highs_vertex`. On tied data, a row that depends linearly on rows
+    already taken (the same row of Z, say) is skipped.
+    """
+    try:
+        theta = _frisch_newton(Z, y, w, tau)
+    except np.linalg.LinAlgError:
+        return None
+    if theta is None:
+        return None
+    rows = []
+    for i in np.argsort(np.abs(y - Z @ theta), kind="stable"):
+        if np.linalg.matrix_rank(Z[rows + [i]]) > len(rows):
+            rows.append(i)
+            if len(rows) == Z.shape[1]:
+                return _interpolate(Z, y, np.sort(rows), theta)
+    return None
+
+
+def _frisch_newton(Z, y, w, tau):
+    """Mehrotra predictor-corrector on the dual LP (Portnoy & Koenker 1997).
+
+    In x = a + (1-tau) w the LP reads min -y'x s.t. Z'x = (1-tau) Z'w,
+    0 <= x <= w. The iterate starts at a = 0 with theta the least-squares
+    fit, whose residuals r = y - Z theta give the dual slacks
+    zl = max(-r, 0) of x >= 0 and zu = max(r, 0) of x <= w. Each iteration
+    factors Z'DZ once, and the corrector reuses the factor. Returns theta
+    once the duality gap x'zl + (w-x)'zu is at most FN_GAP_TOL times
+    sum_i w_i |y_i|, or None after FN_MAX_ITER iterations. Raises
+    LinAlgError when Z'DZ has no Cholesky factor.
+    """
+    n = len(y)
+    x, s = (1 - tau) * w, tau * w
+    b = Z.T @ x
+    theta = np.linalg.solve(Z.T @ Z, Z.T @ y)
+    r = y - Z @ theta
+    zl, zu = np.maximum(-r, 0.0), np.maximum(r, 0.0)
+    # a zero residual leaves both slacks zero; lift both alike, which keeps
+    # zl - zu = -r
+    eps = 1e-6 * max(1.0, np.abs(y).max())
+    near = np.abs(r) < eps
+    zl[near] += eps
+    zu[near] += eps
+    gap_tol = FN_GAP_TOL * float(w @ np.abs(y))
+    for _ in range(FN_MAX_ITER):
+        gap = x @ zl + s @ zu
+        if gap <= gap_tol:
+            return theta
+        # affine-scaling predictor, in the dual step dv = -dtheta
+        D = 1.0 / (zl / x + zu / s)
+        q = zl - zu
+        rhs = b - Z.T @ x + Z.T @ (D * q)
+        factor = cho_factor(Z.T @ (D[:, None] * Z), check_finite=False)
+        dv = cho_solve(factor, rhs, check_finite=False)
+        dx = D * (Z @ dv - q)
+        dzl = -zl * (1 + dx / x)
+        dzu = -zu * (1 - dx / s)
+        ap, ad = _step_lengths(x, s, zl, zu, dx, dzl, dzu)
+        if min(ap, ad) < 1.0:
+            # Mehrotra's centring and second-order corrector
+            g = (x + ap * dx) @ (zl + ad * dzl) + (s - ap * dx) @ (zu + ad * dzu)
+            mu = gap * (g / gap) ** 3 / (2 * n)
+            dxdzl, dsdzu = dx * dzl, -dx * dzu
+            dr = D * (mu * (1 / s - 1 / x) + dxdzl / x - dsdzu / s)
+            dv = cho_solve(factor, rhs + Z.T @ dr, check_finite=False)
+            dx = D * (Z @ dv - q) - dr
+            dzl = mu / x - zl - zl * dx / x - dxdzl / x
+            dzu = mu / s - zu + zu * dx / s - dsdzu / s
+            ap, ad = _step_lengths(x, s, zl, zu, dx, dzl, dzu)
+        x += ap * dx
+        s -= ap * dx
+        theta -= ad * dv
+        zl += ad * dzl
+        zu += ad * dzu
+    return None
+
+
+def _step_lengths(x, s, zl, zu, dx, dzl, dzu):
+    """Primal and dual step lengths: FN_STEP of the way to the boundary,
+    at most 1. s = w - x moves by -dx."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        primal = (np.where(dx < 0, x, s) / np.abs(dx)).min()
+        dual = min(np.where(dzl < 0, zl / -dzl, np.inf).min(),
+                   np.where(dzu < 0, zu / -dzu, np.inf).min())
+    return min(1.0, FN_STEP * primal), min(1.0, FN_STEP * dual)
+
+
+def _highs_vertex(Z, y, w, tau, zero_tol):
+    """HiGHS dual simplex on the dual LP; theta from its equality
+    multipliers, re-solved (`_interpolate`) where exactly d residuals are
+    within zero_tol."""
+    d = Z.shape[1]
     # a = 0 is feasible and the box bounds the objective, so a nonzero
     # status can only be an iteration or time limit
     res = linprog(-y, A_eq=Z.T, b_eq=np.zeros(d),
                   bounds=np.column_stack([-(1 - tau) * w, tau * w]),
-                  method="highs-ds")
+                  method="highs-ds",
+                  options={"dual_feasibility_tolerance": HIGHS_DUAL_FEASIBILITY_TOL})
     if res.status != 0:
         raise NumericalError(f"quantile LP failed: {res.message}")
-
     theta = -res.eqlin.marginals
-    zero_tol = 1e-9 * max(1.0, np.abs(y).max())
     zero = np.abs(y - Z @ theta) <= zero_tol
-    if zero.sum() == d:
-        theta = _interpolate(Z, y, zero, theta)
-    resid = y - Z @ theta
-    zero = np.abs(resid) <= zero_tol
-    objective = float(np.sum(w * check_loss(resid, tau)))
-    slack = 1e-6 * max(1.0, float(np.abs(w @ np.abs(Z)).max()))
-    if kb_stationarity(Z, resid, w, tau, zero_tol=zero_tol) > slack:
-        raise NumericalError("quantile solution violates the optimality certificate")
-    orig = np.flatnonzero(keep)
-    return QuantileSolution(theta=theta, objective=objective,
-                            active_set=tuple(int(i) for i in orig[zero]), tau=tau)
+    return _interpolate(Z, y, zero, theta) if zero.sum() == d else theta
 
 
 def _interpolate(Z, y, rows, theta):

@@ -1,12 +1,14 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Each routine recomputes an answer from first principles (exhaustive
-enumeration or grid search) and never calls the code paths under test.
+enumeration, grid search, or another formulation of the same LP) and never
+calls the code paths under test.
 """
 
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.stats import norm
 
 
@@ -36,6 +38,29 @@ def brute_force_qr(Z, y, w, tau):
         if obj < best_obj:
             best_obj, best_theta = obj, theta
     return best_theta, best_obj
+
+
+def lp_qr_objective(Z, y, w, tau):
+    """Minimum of the weighted check loss from the primal LP,
+
+    min_{theta, u+, u-}  sum_i w_i (tau u+_i + (1-tau) u-_i)
+    s.t.  Z theta + u+ - u- = y,  u+, u- >= 0,
+
+    solved by HiGHS with primal and dual feasibility tolerances of 1e-10
+    (the primal form; selqr solves the dual).
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    n, d = Z.shape
+    w = np.asarray(w, dtype=float)
+    c = np.concatenate([np.zeros(d), tau * w, (1 - tau) * w])
+    A = np.hstack([Z, np.eye(n), -np.eye(n)])
+    bounds = [(None, None)] * d + [(0, None)] * (2 * n)
+    res = linprog(c, A_eq=A, b_eq=np.asarray(y, dtype=float), bounds=bounds,
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def enumerate_qp(Q, q, A, b):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
+import selqr.baselines
 from selqr import (InputError, NumericalError, QuantileProblem, SimulationSpec, fit_mar,
                    fit_uncorrected, generate, probit_fit, solve)
 from selqr.baselines import _probit_parts, mar_weights
@@ -41,6 +42,21 @@ class TestProbit:
         _, grad, hess, _ = _probit_parts(fit.gamma, d, X)
         assert np.abs(grad).max() < 1e-8
         assert (np.linalg.eigvalsh(hess) < 0).all()
+
+    def test_converged_on_the_last_allowed_step_returns(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        n = 300
+        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        d = (rng.random(n) < norm.cdf(0.2 * X[:, 1])).astype(float)
+        fit = probit_fit(d, X)
+        assert fit.iterations == 3
+        monkeypatch.setattr(selqr.baselines, "PROBIT_MAX_ITER", fit.iterations)
+        capped = probit_fit(d, X)
+        assert capped.iterations == fit.iterations
+        assert np.array_equal(capped.gamma, fit.gamma)
+        monkeypatch.setattr(selqr.baselines, "PROBIT_MAX_ITER", fit.iterations - 1)
+        with pytest.raises(NumericalError, match="did not converge"):
+            probit_fit(d, X)
 
     def test_separation_detected(self):
         x = np.linspace(-2, 2, 80)

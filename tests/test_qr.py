@@ -3,13 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import selqr.qr
 from selqr import (InputError, NumericalError, QuantileProblem, check_loss,
-                   quantile_score, solve)
+                   first_stage, quantile_score, solve)
 from selqr.qr import kb_stationarity
-from oracles import brute_force_qr
+from selqr.simlab import SimulationSpec, generate
+from oracles import brute_force_qr, lp_qr_objective
 
 
 class TestCheckLoss:
@@ -159,9 +161,11 @@ class TestCertificate:
         assert kb_stationarity(Z, resid, w, tau) > 0.5
 
     def test_solve_rejects_a_non_optimal_vertex(self, monkeypatch):
+        # both paths are handed the same non-optimal vertex
         Z, y, w, tau, theta = non_optimal_vertex()
         fake = SimpleNamespace(status=0, message="",
                                eqlin=SimpleNamespace(marginals=-theta))
+        monkeypatch.setattr(selqr.qr, "_frisch_newton", lambda *a: theta.copy())
         monkeypatch.setattr(selqr.qr, "linprog", lambda *a, **k: fake)
         with pytest.raises(NumericalError, match="certificate"):
             solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
@@ -210,3 +214,136 @@ class TestCertificate:
             resid = (y - Z @ sol.theta)[active]
             assert len(active) == 3 and np.abs(resid).max() < 1e-12
             assert (quantile_score(resid, tau) == tau).all()
+
+
+def count_linprog_calls(monkeypatch):
+    calls = []
+    real = selqr.qr.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selqr.qr, "linprog", counted)
+    return calls
+
+
+def certified(Z, y, w, tau, theta):
+    zero_tol = 1e-9 * max(1.0, np.abs(y).max())
+    return (kb_stationarity(Z, y - Z @ theta, w, tau, zero_tol=zero_tol)
+            <= certificate_slack(Z, w))
+
+
+def raise_linalg_error(*args):
+    raise np.linalg.LinAlgError("not positive definite")
+
+
+class TestFallback:
+    @pytest.mark.parametrize("stop", ["cholesky", "rejected", "cap"])
+    def test_highs_certifies_when_the_interior_point_stops(self, monkeypatch, stop):
+        Z, y, w, tau, bad_theta = non_optimal_vertex()
+        if stop == "cholesky":
+            monkeypatch.setattr(selqr.qr, "_frisch_newton", raise_linalg_error)
+        elif stop == "rejected":
+            monkeypatch.setattr(selqr.qr, "_frisch_newton",
+                                lambda *a: bad_theta.copy())
+        else:
+            monkeypatch.setattr(selqr.qr, "FN_MAX_ITER", 1)
+        calls = count_linprog_calls(monkeypatch)
+        sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
+        assert len(calls) == 1
+        assert certified(Z, y, w, tau, sol.theta)
+        _, obj_oracle = brute_force_qr(Z, y, w, tau)
+        assert abs(sol.objective - obj_oracle) < 1e-9
+
+    def test_no_fallback_on_continuous_data(self, monkeypatch):
+        calls = count_linprog_calls(monkeypatch)
+        rng = np.random.default_rng(3)
+        Z = np.column_stack([np.ones(300), rng.standard_normal((300, 2))])
+        sol = solve(QuantileProblem(Z=Z, y=rng.standard_normal(300),
+                                    w=rng.uniform(0.5, 3, 300), tau=0.3))
+        assert calls == [] and len(sol.active_set) == 3
+
+    def test_tied_integer_problem_reaches_highs(self, monkeypatch):
+        # Z'DZ loses its Cholesky factor as the iterate nears the flat face
+        rng = np.random.default_rng(27)
+        n = 30
+        Z = np.column_stack([np.ones(n), rng.integers(0, 3, (n, 2))]).astype(float)
+        y = rng.integers(0, 5, n).astype(float)
+        w = np.ones(n)
+        with pytest.raises(np.linalg.LinAlgError):
+            selqr.qr._frisch_newton(Z, y, w, 0.75)
+        calls = count_linprog_calls(monkeypatch)
+        sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=0.75))
+        assert len(calls) == 1
+        assert certified(Z, y, w, 0.75, sol.theta)
+        assert sol.objective == pytest.approx(lp_qr_objective(Z, y, w, 0.75),
+                                              rel=1e-12, abs=1e-12)
+
+
+def seed42_iv_problem():
+    """Replication 3 of SimulationSpec("C", "M2", n=1000, seed=42200026),
+    semiparametric_iv weights at tau = 0.5. With HiGHS's default dual
+    feasibility tolerance, dual simplex stopped at a vertex 6.7e-8 above
+    the optimum here, which the certificate rejected."""
+    data = generate(SimulationSpec("C", "M2", n=1000, reps=4, seed=42200026), 3).data
+    fs = first_stage.cone_project(first_stage.estimate_unconstrained(data), data)
+    w = first_stage.weights(fs, data).omega
+    return QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan), w=w, tau=0.5)
+
+
+class TestSeed42Fault:
+    def test_solve_certifies(self):
+        problem = seed42_iv_problem()
+        sol = solve(problem)
+        keep = problem.w > 0
+        Z, y, w = problem.Z[keep], problem.y[keep], problem.w[keep]
+        assert certified(Z, y, w, 0.5, sol.theta)
+        assert sol.objective == pytest.approx(lp_qr_objective(Z, y, w, 0.5),
+                                              rel=1e-12)
+
+    def test_highs_path_certifies(self):
+        problem = seed42_iv_problem()
+        keep = problem.w > 0
+        Z, y, w = problem.Z[keep], problem.y[keep], problem.w[keep]
+        zero_tol = 1e-9 * max(1.0, np.abs(y).max())
+        theta = selqr.qr._highs_vertex(Z, y, w, 0.5, zero_tol)
+        assert certified(Z, y, w, 0.5, theta)
+
+
+def random_problem(seed, n, d, tied):
+    rng = np.random.default_rng(seed)
+    if tied:
+        X = rng.integers(0, 3, (n, d - 1)).astype(float)
+        y = rng.integers(0, 5, n).astype(float)
+    else:
+        X = rng.standard_normal((n, d - 1))
+        y = rng.standard_normal(n) * 2
+    Z = np.column_stack([np.ones(n), X])
+    return Z, y, rng.uniform(0.5, 3, n)
+
+
+problems = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 200),
+                d=st.integers(2, 4), tau=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
+
+
+class TestSolveProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**problems)
+    def test_tied_data_certified_at_the_lp_optimum(self, seed, n, d, tau):
+        Z, y, w = random_problem(seed, n, d, tied=True)
+        assume(np.linalg.matrix_rank(Z) == d)
+        sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
+        assert certified(Z, y, w, tau, sol.theta)
+        assert sol.objective == pytest.approx(lp_qr_objective(Z, y, w, tau),
+                                              rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**problems)
+    def test_continuous_data_bit_equal_to_highs(self, seed, n, d, tau):
+        Z, y, w = random_problem(seed, n, d, tied=False)
+        sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
+        assert certified(Z, y, w, tau, sol.theta)
+        zero_tol = 1e-9 * max(1.0, np.abs(y).max())
+        assert np.array_equal(sol.theta,
+                              selqr.qr._highs_vertex(Z, y, w, tau, zero_tol))
