@@ -4,7 +4,9 @@
 The moment condition E[D g(Y, X) | W, X] = 1 identifies g = 1/P(observed)
 even though it depends on the outcome. We expand g in a quadratic B-spline
 basis of Y plus a linear term in X, instrument with a richer spline basis
-of (W, X), and then enforce the logical bound g >= 1 by cone projection.
+of (W, X). The logical bound g >= 1 is enforced twice over: the
+constrained sieve fit projects g onto the cone {h >= 1} in coefficient
+space, and the weights floor the fitted values at one, max(g_u, 1).
 """
 
 import numpy as np
@@ -48,7 +50,7 @@ print(f"  min over constraint set of g_c: "
 wv = weights(fit, data)
 omega = wv.omega[sel]
 print()
-print(f"weights on observed rows: mean {omega.mean():.3f} "
+print(f"weights max(g_u, 1) on observed rows: mean {omega.mean():.3f} "
       f"(sample identity n/n_selected = {data.n / data.n_selected:.3f}), "
       f"max {omega.max():.2f}")
 print("every unobserved row carries weight exactly 0, every observed row >= 1.")

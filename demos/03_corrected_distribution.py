@@ -9,12 +9,12 @@ the observed subsample is shifted wherever selection is outcome-dependent.
 import numpy as np
 
 from selqr import SimulationSpec, corrected_cdf, generate
-from selqr.first_stage import cone_project, estimate_unconstrained
+from selqr.first_stage import estimate_unconstrained
 
 gd = generate(SimulationSpec("C", "M2", n=20000, reps=1, seed=23), 0)
 data = gd.data
 
-fit = cone_project(estimate_unconstrained(data), data)
+fit = estimate_unconstrained(data)
 cdf = corrected_cdf(fit, data)
 
 # latent benchmark: the full pre-selection sample the generator retained

@@ -1,10 +1,10 @@
 """Selection-corrected quantile regression under outcome-dependent missingness.
 
 The pipeline: a series 2SLS first stage for inverse selection
-probabilities, cone projection enforcing the g >= 1 bound, inverse
-probability weighted quantile regression with plug-in asymptotic inference,
-a selection-corrected distribution function, comparator estimators, and a
-Monte Carlo harness.
+probabilities, floored at one, inverse probability weighted quantile
+regression with plug-in asymptotic inference, a selection-corrected
+distribution function, comparator estimators, and a Monte Carlo harness.
+The cone projection fits the g >= 1 bound in coefficient space.
 """
 
 __version__ = "0.1.0"

@@ -44,9 +44,7 @@ class RunConfig:
             raise InputError("interior knot counts must be >= 0")
         if self.bandwidth_mode not in ("rot", "cv"):
             raise InputError("bandwidth mode must be 'rot' or 'cv'")
-        unknown = set(self.estimators) - set(estimator.ESTIMATOR_NAMES)
-        if unknown:
-            raise InputError(f"unknown estimator(s) {sorted(unknown)}")
+        estimator.check_names(self.estimators)
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v
@@ -86,7 +84,7 @@ def cmd_fit(config: RunConfig, data) -> dict:
     fits = {name: estimator.fit(data, config.taus, name, level=config.level,
                                 bandwidth_mode=config.bandwidth_mode,
                                 **keywords.get(name, {}))
-            for name in dict.fromkeys(config.estimators)}
+            for name in config.estimators}
     estimates = []
     for i, tau in enumerate(config.taus):
         for name in config.estimators:

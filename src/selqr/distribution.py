@@ -61,8 +61,7 @@ class CorrectedCDF:
         return float(self.support[min(idx, len(self.support) - 1)])
 
 
-def corrected_cdf(fit: FirstStageFit, data: ObservationSet,
-                  mode: str = "pointwise") -> CorrectedCDF:
+def corrected_cdf(fit: FirstStageFit, data: ObservationSet) -> CorrectedCDF:
     """CDF weighted by the fitted inverse selection probabilities.
 
     Uses the same per-observation weights as the quantile stage, so the
@@ -70,6 +69,6 @@ def corrected_cdf(fit: FirstStageFit, data: ObservationSet,
     """
     if data.n_selected == 0:
         raise InputError("no selected rows")
-    omega = weights(fit, data, mode=mode).omega
+    omega = weights(fit, data).omega
     return CorrectedCDF.from_values(data.y[data.selected], omega[data.selected])
 

@@ -2,8 +2,8 @@
 
 Every estimator is a weighted quantile regression plus plug-in inference,
 run by `_weighted_fit`. Three weight providers differ only in where the
-weights come from: `fit_semiparametric_iv` (first stage, cone projection,
-inverse selection probabilities, first-stage-corrected covariance),
+weights come from: `fit_semiparametric_iv` (first stage, inverse selection
+probabilities floored at one, first-stage-corrected covariance),
 `fit_uncorrected` (the selection dummies) and `fit_mar` (inverse probit
 probabilities, treated as known). `fit` dispatches on the name.
 """
@@ -22,6 +22,16 @@ from .errors import InputError
 from .qr import QuantileProblem, QuantileSolution, solve
 
 ESTIMATOR_NAMES = ("uncorrected", "mar", "semiparametric_iv")
+
+
+def check_names(names: Sequence[str]) -> None:
+    """InputError unless names are distinct members of ESTIMATOR_NAMES."""
+    unknown = set(names) - set(ESTIMATOR_NAMES)
+    if unknown:
+        raise InputError(f"unknown estimator(s) {sorted(unknown)}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise InputError(f"repeated estimator(s) {repeated}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +64,9 @@ def _weighted_fit(data: ObservationSet, tau: float | Sequence[float], name: str,
     `inference.covariance` call shares the bandwidths and the conditioning
     kernel across all of them. With a first-stage fit fs the covariance
     carries the first-stage correction; without one it is the weights-known
-    sandwich.
+    sandwich. Each fit's diagnostics gain the covariance's minimum eigenvalue
+    before the PSD clip, its count of floored density denominators and its
+    count of dropped conditioning dimensions.
     """
     scalar = np.ndim(tau) == 0
     taus = [tau] if scalar else list(tau)
@@ -66,7 +78,11 @@ def _weighted_fit(data: ObservationSet, tau: float | Sequence[float], name: str,
     fits = [QuantileFit(tau=t, estimator=name, theta=qsol.theta,
                         sigma=cov.sigma, se=cov.se, ci=cov.ci, level=level,
                         labels=labels,
-                        diagnostics={"n_selected": data.n_selected, **diagnostics},
+                        diagnostics={"n_selected": data.n_selected, **diagnostics,
+                                     "min_eigenvalue": cov.min_eigenvalue,
+                                     "density_floored": cov.density_floored,
+                                     "conditioning_dims_dropped":
+                                         cov.conditioning_dims_dropped},
                         qsol=qsol, first_stage=fs)
             for t, qsol, cov in zip(taus, qsols, covs)]
     return fits[0] if scalar else fits
@@ -74,20 +90,15 @@ def _weighted_fit(data: ObservationSet, tau: float | Sequence[float], name: str,
 
 def fit_semiparametric_iv(data: ObservationSet, tau: float | Sequence[float],
                           plan: BasisPlan | None = None, level: float = 0.95,
-                          bandwidth_mode: str = "rot",
-                          weight_mode: str = "pointwise"
+                          bandwidth_mode: str = "rot"
                           ) -> QuantileFit | list[QuantileFit]:
     """Inverse-selection-probability weighted QR with first-stage-aware
-    covariance: series 2SLS, cone projection, weighting, weighted QR,
-    plug-in inference. The weights are built once for every level in tau."""
+    covariance: series 2SLS, weights max(g_u, 1), weighted QR, plug-in
+    inference. The weights are built once for every level in tau."""
     fs = first_stage.estimate_unconstrained(data, plan)
-    fs = first_stage.cone_project(fs, data)
-    wv = first_stage.weights(fs, data, mode=weight_mode)
+    wv = first_stage.weights(fs, data)
     diagnostics = {
         "moment_residual_max": float(np.abs(first_stage.moment_residual(fs)).max()),
-        "cone_active_constraints": int(fs.kkt["active_set_size"]),
-        "cone_kkt_stationarity": float(fs.kkt["stationarity"]),
-        "weight_mode": weight_mode,
         "mean_weight": float(wv.omega[data.selected].mean()),
     }
     return _weighted_fit(data, tau, "semiparametric_iv", wv.omega, level,
@@ -126,8 +137,8 @@ def fit(data: ObservationSet, tau: float | Sequence[float],
     weights, the bandwidths and the conditioning kernel across its levels.
 
     Every estimator takes `level` and `bandwidth_mode`. Extra keywords:
-    `plan` and `weight_mode` for semiparametric_iv, `trim_floor` for mar,
-    none for uncorrected.
+    `plan` for semiparametric_iv, `trim_floor` for mar, none for
+    uncorrected.
     """
     # the providers are looked up at call time, so rebinding a module
     # attribute (as a tracer does) reaches every caller

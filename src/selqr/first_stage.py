@@ -1,19 +1,17 @@
 """Series 2SLS estimation of the inverse selection probability.
 
-Step one regresses the constant 1 on the D-masked outcome basis with the
-instrument basis as instruments, giving the unconstrained coefficient
-vector beta_u of g_u(y, x). Step two projects the fitted function onto the
-cone of functions bounded below by one within the spline span. Step three
-turns the fit into per-observation weights D_i * g(Y_i, X_i).
+`estimate_unconstrained` regresses the constant 1 on the D-masked outcome
+basis with the instrument basis as instruments, giving the unconstrained
+coefficient vector beta_u of g_u(y, x). `weights` turns the fit into
+per-observation weights D_i * max(g_u(Y_i, X_i), 1): the fitted values
+floored at one, i.e. the value vector projected onto the feasible orthant,
+untouched wherever the bound already holds. This is the one weighting rule;
+the first-stage-corrected covariance is derived for it and reads beta_u
+alone.
 
-Two weighting modes are provided. "pointwise" (the default) floors the
-fitted values of g_u at one, i.e. projects the value vector onto the
-feasible orthant; it leaves the fit untouched wherever the bound already
-holds. "functional" evaluates the cone-projected coefficient fit, which
-bends the whole spline to honor the bound and is the more aggressive
-correction. Both satisfy every weight invariant; the pointwise mode is the
-default because the functional projection measurably tilts the downstream
-quantile fit on well-specified designs.
+`cone_project` is the audited constrained sieve fit: it projects the fitted
+function onto the cone of functions bounded below by one within the spline
+span. No weight reads it.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import scipy.linalg
 
 from . import activeset
 from .basis import (BasisPlan, DesignMatrices, _column, build_designs,
-                    default_plan, eval_basis, eval_block)
+                    default_plan, eval_basis)
 from .data import ObservationSet
 from .errors import InputError, NumericalError
 
@@ -50,30 +48,6 @@ class FirstStageFit:
     beta_c: np.ndarray | None = None
     constraint_points: np.ndarray | None = None   # rows of phi at enforced points
     kkt: dict | None = None
-
-    def g_values(self, y, x=None, w=None, mode: str = "pointwise") -> np.ndarray:
-        """Evaluate the fitted inverse selection probability at query points.
-
-        The spline coordinate is clamped to its knot range, so any (y, x) is
-        evaluable. Modes: "unconstrained" (raw g_u), "pointwise"
-        (max(g_u, 1)), "functional" (cone-projected fit, requires
-        cone_project to have run).
-        """
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        m = len(y)
-        x = np.zeros((m, 0)) if x is None else np.asarray(x, dtype=float).reshape(m, -1)
-        w = np.zeros((m, 1)) if w is None else np.asarray(w, dtype=float).reshape(m, -1)
-        query = ObservationSet(d=np.ones(m, dtype=int), y=y, w=w, x=x)
-        phi = eval_block(self.plan.phi, query)
-        if mode == "unconstrained":
-            return phi @ self.beta_u
-        if mode == "pointwise":
-            return np.maximum(phi @ self.beta_u, 1.0)
-        if mode == "functional":
-            if self.beta_c is None:
-                raise NumericalError("functional mode requires cone_project first")
-            return np.maximum(phi @ self.beta_c, 1.0)
-        raise InputError(f"unknown weight mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -208,22 +182,8 @@ def cone_project(fit: FirstStageFit, data: ObservationSet) -> FirstStageFit:
                    kkt={**kkt, "active_set_size": len(sol.working_set)})
 
 
-def weights(fit: FirstStageFit, data: ObservationSet,
-            mode: str = "pointwise") -> WeightVector:
-    """Observation weights omega_i = D_i * g(Y_i, X_i), floored at one.
-
-    mode "pointwise" floors the unconstrained fitted values; "functional"
-    evaluates the cone-projected fit (see the module docstring).
-    """
-    phi_sel = fit.designs.phi[data.selected]
-    if mode == "pointwise":
-        g_sel = phi_sel @ fit.beta_u
-    elif mode == "functional":
-        if fit.beta_c is None:
-            raise NumericalError("functional weights require cone_project first")
-        g_sel = phi_sel @ fit.beta_c
-    else:
-        raise InputError(f"unknown weight mode {mode!r}")
+def weights(fit: FirstStageFit, data: ObservationSet) -> WeightVector:
+    """Observation weights omega_i = D_i * max(g_u(Y_i, X_i), 1)."""
     omega = np.zeros(data.n)
-    omega[data.selected] = np.maximum(g_sel, 1.0)
+    omega[data.selected] = np.maximum(fit.designs.phi[data.selected] @ fit.beta_u, 1.0)
     return WeightVector(omega=omega, selected=data.selected)

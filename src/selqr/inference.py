@@ -15,7 +15,6 @@ UJ_i = 1 - D_i phi_i' beta_u the first-stage residual.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -27,8 +26,6 @@ from .data import ObservationSet
 from .errors import InputError, NumericalError
 from .first_stage import FirstStageFit
 from .qr import QuantileSolution, quantile_score
-
-log = logging.getLogger(__name__)
 
 DENSITY_FLOOR = 1e-12
 CONSTANT_DIM_TOL = 1e-8
@@ -193,7 +190,8 @@ class CovarianceEstimate:
     ci: np.ndarray              # (d_z, 2)
     se: np.ndarray              # sqrt(diag(sigma) / n)
     min_eigenvalue: float       # before PSD clipping
-    density_floored: int
+    density_floored: int        # rows whose density denominator was floored
+    conditioning_dims_dropped: int   # near-constant columns of (omega, Z)
 
 
 def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
@@ -240,9 +238,6 @@ def covariance(fit: FirstStageFit | None,
     # are dropped (the intercept column always is)
     cond = np.column_stack([omega, Z])[sel]
     keep_dims = cond.std(axis=0) > CONSTANT_DIM_TOL
-    if not keep_dims.all():
-        log.info("dropping %d near-constant conditioning dimension(s) from the "
-                 "density estimate", int((~keep_dims).sum()))
     cond = cond[:, keep_dims]
     y_sel = data.y[sel]
     kernel_data = np.column_stack([y_sel, cond])
@@ -256,9 +251,6 @@ def covariance(fit: FirstStageFit | None,
     fitted = [Z @ q.theta for q in qsols]
     f_sel, floored = conditional_density(
         y_sel, cond, np.array([f[sel] for f in fitted]), cond, bw)
-    if floored.any():
-        log.info("density denominator floored at %d evaluation point(s)",
-                 int(floored.sum()))
     if fit is not None:
         Uj = 1.0 - fit.designs.phi @ fit.beta_u
         proj_rows = scipy.linalg.cho_solve(
@@ -300,5 +292,6 @@ def covariance(fit: FirstStageFit | None,
         se = np.sqrt(np.clip(np.diag(sigma), 0.0, None) / n)
         estimates.append(CovarianceEstimate(
             sigma=sigma, ci=ci, se=se, min_eigenvalue=min_eig,
-            density_floored=int(floored.sum())))
+            density_floored=int(floored.sum()),
+            conditioning_dims_dropped=int((~keep_dims).sum())))
     return estimates[0] if single else estimates

@@ -61,9 +61,7 @@ class SimulationSpec:
             raise InputError("reps must be >= 1")
         if not 0.0 < self.tau < 1.0:
             raise InputError("tau must lie strictly inside (0, 1)")
-        unknown = set(self.estimators) - set(est.ESTIMATOR_NAMES)
-        if unknown:
-            raise InputError(f"unknown estimator(s) {sorted(unknown)}")
+        est.check_names(self.estimators)
 
 
 @dataclass(frozen=True)
@@ -247,13 +245,17 @@ def run(spec: SimulationSpec, n_jobs: int = 1, fitters=None) -> MetricsTable:
     Failed replications are excluded from aggregation and reported; more
     than 2% exclusions fails the run. Aggregates are means over stored
     per-replication arrays (numpy pairwise summation), so they do not
-    depend on completion order or worker count.
+    depend on completion order or worker count. At most min(n_jobs,
+    spec.reps) worker processes start.
     """
+    if n_jobs < 1:
+        raise InputError("jobs must be >= 1")
     results = [None] * spec.reps
-    if n_jobs > 1 and fitters is None:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    workers = min(n_jobs, spec.reps)
+    if workers > 1 and fitters is None:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for res in pool.map(_pool_task, ((spec, i) for i in range(spec.reps)),
-                                chunksize=max(1, spec.reps // (8 * n_jobs))):
+                                chunksize=max(1, spec.reps // (8 * workers))):
                 results[res["index"]] = res
     else:
         for i in range(spec.reps):

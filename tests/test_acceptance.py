@@ -185,7 +185,7 @@ def test_criterion_8_cdf_estimator():
     for rep in range(100):
         gd = generate(SimulationSpec("C", "M2", n=20000, reps=1, seed=SEED), rep)
         data = gd.data
-        fit = cone_project(estimate_unconstrained(data), data)
+        fit = estimate_unconstrained(data)
         cdf = corrected_cdf(fit, data)
         latent = np.sort(gd.y_star)
         grid = cdf.support

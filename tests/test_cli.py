@@ -169,6 +169,34 @@ class TestFitCommand:
         assert "input error: trim floor must lie in [0, 1)" in \
             capsys.readouterr().err
 
+    def test_fit_runs_without_the_cone_projection(self, tmp_path, monkeypatch):
+        # the weights are max(g_u, 1), which the projection does not enter,
+        # so a failing projection fails no fit and changes no report byte
+        p, _ = _sim_csv(tmp_path)
+        data = ingest_csv(p, ColumnMap("d", "y", ("w0",), ("x0",)))
+        args = ["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
+                "--tau", "0.25,0.5", "--out"]
+        assert main(args + [str(tmp_path / "a.json")]) == 0
+        want = fit_semiparametric_iv(data, 0.5)
+
+        def fail(*args, **kwargs):
+            raise NumericalError("cone projection did not converge")
+
+        monkeypatch.setattr(first_stage, "cone_project", fail)
+        got = fit_semiparametric_iv(data, 0.5)
+        assert np.array_equal(got.theta, want.theta)
+        assert np.array_equal(got.sigma, want.sigma)
+        assert main(args + [str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+    def test_repeated_estimator_rejected_before_reading(self, capsys):
+        with pytest.raises(InputError, match=r"repeated estimator\(s\) \['mar'\]"):
+            RunConfig(estimators=("mar", "uncorrected", "mar"))
+        assert main(["fit", "--data", "/nope.csv", "--map", "d=d,y=y,w=w0",
+                     "--estimators", "mar,mar"]) == 2
+        err = capsys.readouterr().err
+        assert "repeated estimator" in err and "nope" not in err
+
     def test_unknown_estimator_rejected_before_reading(self, capsys):
         # the data file does not exist: the name must be checked first
         assert main(["fit", "--data", "/nope.csv", "--map", "d=d,y=y,w=w0",
@@ -247,6 +275,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--setting", "C", "--mechanism", "M2",
                      "--n", n, "--reps", "1"]) == 2
         assert "input error: n must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_an_input_error(self, jobs, capsys):
+        assert main(["simulate", "--setting", "C", "--mechanism", "M2",
+                     "--n", "50", "--reps", "1", "--jobs", jobs]) == 2
+        assert "input error: jobs must be >= 1" in capsys.readouterr().err
 
 
 class TestCdfCommand:

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from selqr import (CorrectedCDF, InputError, QuantileProblem, SimulationSpec,
                    corrected_cdf, generate, solve)
-from selqr.first_stage import cone_project, estimate_unconstrained, weights
+from selqr.first_stage import estimate_unconstrained, weights
 
 
 def ecdf(y_sorted, at):
@@ -21,7 +21,7 @@ class TestCorrectedCDF:
 
     def test_normalization_and_bounds(self, dataset_m2):
         data = dataset_m2.data
-        fit = cone_project(estimate_unconstrained(data), data)
+        fit = estimate_unconstrained(data)
         cdf = corrected_cdf(fit, data)
         assert_allclose(cdf.cum_weights[-1], 1.0)
         assert cdf.evaluate(data.y[data.selected].max()) == 1.0
@@ -32,7 +32,7 @@ class TestCorrectedCDF:
 
     def test_weights_match_quantile_stage(self, dataset_m2):
         data = dataset_m2.data
-        fit = cone_project(estimate_unconstrained(data), data)
+        fit = estimate_unconstrained(data)
         omega = weights(fit, data).omega[data.selected]
         cdf = corrected_cdf(fit, data)
         jumps = np.diff(np.concatenate([[0.0], cdf.cum_weights]))
@@ -80,7 +80,7 @@ def test_corrected_cdf_beats_ecdf_under_mnar():
     for rep in range(10):
         gd = generate(SimulationSpec("C", "M2", n=20000, reps=1, seed=2024), rep)
         data = gd.data
-        fit = cone_project(estimate_unconstrained(data), data)
+        fit = estimate_unconstrained(data)
         cdf = corrected_cdf(fit, data)
         latent = np.sort(gd.y_star)
         grid = cdf.support

@@ -42,15 +42,22 @@ class TestFitShapes:
         qf = fit_semiparametric_iv(data_mnar, 0.5)
         diag = qf.diagnostics
         assert diag["moment_residual_max"] >= 0
-        assert diag["cone_active_constraints"] >= 0
         assert diag["n_selected"] == data_mnar.n_selected
 
-    def test_weight_mode_switch(self, data_mnar):
-        qf_point = fit_semiparametric_iv(data_mnar, 0.5, weight_mode="pointwise")
-        qf_fun = fit_semiparametric_iv(data_mnar, 0.5, weight_mode="functional")
-        assert qf_point.diagnostics["weight_mode"] == "pointwise"
-        assert qf_fun.diagnostics["weight_mode"] == "functional"
-        assert np.isfinite(qf_fun.theta).all()
+    def test_diagnostics_carry_covariance_facts(self, data_mnar):
+        # the conditioning data is (omega, Z): the intercept column is always
+        # dropped, and so is omega when it is constant on the selected rows,
+        # as the selection dummies are
+        data = data_mnar
+        for name, dropped in (("uncorrected", 2), ("mar", 1),
+                              ("semiparametric_iv", 1)):
+            qf = fit(data, 0.5, estimator=name)
+            diag = qf.diagnostics
+            assert diag["conditioning_dims_dropped"] == dropped
+            assert diag["density_floored"] == 0
+            assert isinstance(diag["min_eigenvalue"], float)
+            assert diag["min_eigenvalue"] == pytest.approx(
+                np.linalg.eigvalsh(qf.sigma).min(), rel=1e-8)
 
 
 def test_row_permutation_invariance(dataset_m2):
@@ -103,7 +110,7 @@ def test_tau_sequence_equals_scalar_fits(dataset_m2, bandwidth_mode):
 
 
 def test_tau_sequence_builds_weights_and_bandwidths_once(dataset_m2, monkeypatch):
-    calls = {"cone_project": 0, "mar_weights": 0, "cv_bandwidths": 0}
+    calls = {"weights": 0, "mar_weights": 0, "cv_bandwidths": 0}
 
     def counting(module, attr):
         original = getattr(module, attr)
@@ -113,14 +120,14 @@ def test_tau_sequence_builds_weights_and_bandwidths_once(dataset_m2, monkeypatch
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapper)
 
-    counting(first_stage, "cone_project")
+    counting(first_stage, "weights")
     counting(baselines, "mar_weights")
     counting(inference, "cv_bandwidths")
     data = dataset_m2.data
     for name in ("uncorrected", "mar", "semiparametric_iv"):
         before = dict(calls)
         fit(data, [0.25, 0.5, 0.75], name, bandwidth_mode="cv")
-        want = {"cone_project": int(name == "semiparametric_iv"),
+        want = {"weights": int(name == "semiparametric_iv"),
                 "mar_weights": int(name == "mar"), "cv_bandwidths": 1}
         assert {k: calls[k] - before[k] for k in calls} == want
     with pytest.raises(InputError, match="at least one"):

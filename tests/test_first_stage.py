@@ -157,35 +157,19 @@ class TestConeProject:
 class TestWeights:
     def test_zero_exactly_on_unselected(self, dataset_m2):
         data = dataset_m2.data
-        fit = cone_project(estimate_unconstrained(data), data)
+        fit = estimate_unconstrained(data)
         wv = weights(fit, data)
         assert (wv.omega[~data.selected] == 0).all()
         assert (wv.omega[data.selected] >= 1.0 - 1e-8).all()
 
     def test_unit_g_gives_selection_dummies(self, data_full):
-        fit = cone_project(estimate_unconstrained(data_full), data_full)
+        fit = estimate_unconstrained(data_full)
         wv = weights(fit, data_full)
         assert_allclose(wv.omega, data_full.d.astype(float), atol=1e-8)
 
     def test_mean_weight_matches_count_identity(self):
         gd = generate(SimulationSpec("C", "M2", n=10000, reps=1, seed=5), 0)
-        fit = cone_project(estimate_unconstrained(gd.data), gd.data)
+        fit = estimate_unconstrained(gd.data)
         wv = weights(fit, gd.data)
         mean_w = wv.omega[gd.data.selected].mean()
         assert abs(mean_w - gd.data.n / gd.data.n_selected) < 0.1 * mean_w
-
-    def test_functional_mode_uses_projected_fit(self, dataset_m2):
-        data = dataset_m2.data
-        fit = cone_project(estimate_unconstrained(data), data)
-        w_fun = weights(fit, data, mode="functional")
-        g_c = np.maximum(fit.designs.phi[data.selected] @ fit.beta_c, 1.0)
-        assert_allclose(w_fun.omega[data.selected], g_c)
-
-    def test_g_values_clamped_queries(self, dataset_m2):
-        data = dataset_m2.data
-        fit = cone_project(estimate_unconstrained(data), data)
-        kv = fit.plan.phi.knots
-        x0 = data.x[:1]
-        far = fit.g_values([kv.hi + 50.0], x=x0, mode="functional")
-        edge = fit.g_values([kv.hi], x=x0, mode="functional")
-        assert_allclose(far, edge)

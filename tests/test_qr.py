@@ -287,7 +287,7 @@ def seed42_iv_problem():
     feasibility tolerance, dual simplex stopped at a vertex 6.7e-8 above
     the optimum here, which the certificate rejected."""
     data = generate(SimulationSpec("C", "M2", n=1000, reps=4, seed=42200026), 3).data
-    fs = first_stage.cone_project(first_stage.estimate_unconstrained(data), data)
+    fs = first_stage.estimate_unconstrained(data)
     w = first_stage.weights(fs, data).omega
     return QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan), w=w, tau=0.5)
 

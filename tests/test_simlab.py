@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from selqr import InputError, NumericalError, SimulationSpec, generate, run
+from selqr import (InputError, NumericalError, SimulationSpec, generate, run,
+                   simlab)
 from selqr.estimator import QuantileFit
 from selqr.simlab import _mixture_quantile
 
@@ -62,6 +64,10 @@ class TestGenerate:
         with pytest.raises(InputError):
             SimulationSpec("A", "M1", n=100, reps=0)
 
+    def test_repeated_estimator_is_an_input_error(self):
+        with pytest.raises(InputError, match=r"repeated estimator\(s\) \['mar'\]"):
+            SimulationSpec("C", "M2", n=100, reps=1, estimators=("mar", "mar"))
+
 
 def _stub_fitters(theta_fn):
     def make(name):
@@ -114,6 +120,39 @@ class TestRun:
         t2 = run(spec, n_jobs=2)
         assert json.dumps(t1.to_dict(), sort_keys=True) == \
                json.dumps(t2.to_dict(), sort_keys=True)
+
+    def test_workers_capped_at_replications(self, monkeypatch):
+        # a serial stand-in replaces the pool, so no process starts
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(simlab, "ProcessPoolExecutor", SerialPool)
+        spec = SimulationSpec("C", "M2", n=300, reps=3, seed=5,
+                              estimators=("uncorrected",))
+        table = run(spec, n_jobs=8)
+        assert started == [3]
+        assert json.dumps(table.to_dict(), sort_keys=True) == \
+               json.dumps(run(spec).to_dict(), sort_keys=True)
+        run(dataclasses.replace(spec, reps=1), n_jobs=8)   # runs serially
+        assert started == [3]
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_jobs_below_one_is_an_input_error(self, n_jobs):
+        spec = SimulationSpec("C", "M2", n=50, reps=1, estimators=("uncorrected",))
+        with pytest.raises(InputError, match="jobs must be >= 1"):
+            run(spec, n_jobs=n_jobs)
 
     def test_failed_replication_excluded_and_capped(self):
         def flaky(gd, spec):
