@@ -21,7 +21,6 @@ class ProbitFit:
 
     gamma: np.ndarray
     iterations: int
-    loglik: float
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:
         return norm.cdf(np.atleast_2d(X) @ self.gamma)
@@ -61,7 +60,7 @@ def probit_fit(d: np.ndarray, X: np.ndarray) -> ProbitFit:
     ll, grad, hess, s = _probit_parts(gamma, d, X)
     for it in range(PROBIT_MAX_ITER + 1):
         if np.abs(grad).max() < PROBIT_GRAD_TOL:
-            return ProbitFit(gamma=gamma, iterations=it, loglik=ll)
+            return ProbitFit(gamma=gamma, iterations=it)
         if it == PROBIT_MAX_ITER:
             break
         try:

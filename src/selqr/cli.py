@@ -31,7 +31,6 @@ class RunConfig:
     bandwidth_mode: str = "rot"
     trim_floor: float = 0.01
     estimators: tuple[str, ...] = ("semiparametric_iv",)
-    level: float = 0.95
 
     def __post_init__(self):
         object.__setattr__(self, "taus", tuple(self.taus))
@@ -81,7 +80,7 @@ def cmd_fit(config: RunConfig, data) -> dict:
             data, config.y_degree, config.y_interior_knots,
             config.w_degree, config.w_interior_knots)}
     # each estimator fits every level at once; the report keeps tau outer
-    fits = {name: estimator.fit(data, config.taus, name, level=config.level,
+    fits = {name: estimator.fit(data, config.taus, name,
                                 bandwidth_mode=config.bandwidth_mode,
                                 **keywords.get(name, {}))
             for name in config.estimators}

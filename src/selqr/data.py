@@ -28,6 +28,8 @@ class ObservationSet:
     y : (n,) float array, NaN exactly where d == 0 is allowed
     w : (n, d_w) instrument columns, d_w >= 1
     x : (n, d_x) covariate columns, d_x >= 0
+
+    A 1-D w or x is one column; no other shape is reshaped or transposed.
     """
 
     d: np.ndarray
@@ -41,18 +43,17 @@ class ObservationSet:
         if d.size == 0:
             raise InputError("a sample needs at least one row")
         y = np.array(self.y, dtype=float)
-        w = np.atleast_2d(np.array(self.w, dtype=float))
-        x = np.array(self.x, dtype=float).reshape(len(d), -1)
-        if w.shape[0] != len(d):
-            w = w.T
+        w, x = (np.array(a, dtype=float) for a in (self.w, self.x))
+        w, x = (a[:, None] if a.ndim == 1 else a for a in (w, x))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x", x)
         if not np.isin(d, (0, 1)).all():
             raise InputError("selection indicator must be binary 0/1")
-        if y.shape != d.shape or w.shape[0] != len(d) or x.shape[0] != len(d):
-            raise InputError("d, y, w, x must share the row count")
+        if y.shape != d.shape or any(a.ndim != 2 or len(a) != len(d) for a in (w, x)):
+            raise InputError("d, y, w, x must share the row count; w and x take "
+                             "shape (n,) or (n, k)")
         if w.shape[1] < 1:
             raise InputError("at least one instrument column is required")
         if not np.isfinite(y[d == 1]).all():

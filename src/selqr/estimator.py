@@ -22,6 +22,7 @@ from .errors import InputError
 from .qr import QuantileProblem, QuantileSolution, solve
 
 ESTIMATOR_NAMES = ("uncorrected", "mar", "semiparametric_iv")
+CI_LEVEL = 0.95     # the level of every QuantileFit.ci
 
 
 def check_names(names: Sequence[str]) -> None:
@@ -43,17 +44,14 @@ class QuantileFit:
     theta: np.ndarray
     sigma: np.ndarray
     se: np.ndarray
-    ci: np.ndarray
-    level: float
+    ci: np.ndarray              # (d_z, 2), at CI_LEVEL
     labels: tuple[str, ...]
     diagnostics: dict = field(default_factory=dict)
     qsol: QuantileSolution | None = None
-    first_stage: first_stage.FirstStageFit | None = None
 
 
 def _weighted_fit(data: ObservationSet, tau: float | Sequence[float], name: str,
-                  omega: np.ndarray, level: float, bandwidth_mode: str,
-                  diagnostics: dict,
+                  omega: np.ndarray, bandwidth_mode: str, diagnostics: dict,
                   fs: first_stage.FirstStageFit | None = None
                   ) -> QuantileFit | list[QuantileFit]:
     """Weighted QR and plug-in covariance for weights omega.
@@ -72,25 +70,25 @@ def _weighted_fit(data: ObservationSet, tau: float | Sequence[float], name: str,
     taus = [tau] if scalar else list(tau)
     Z, y = data.design_z(), data.y_filled(np.nan)
     qsols = [solve(QuantileProblem(Z=Z, y=y, w=omega, tau=t)) for t in taus]
-    covs = inference.covariance(fs, qsols, data, omega=omega, level=level,
+    covs = inference.covariance(fs, qsols, data, omega=omega,
                                 bandwidth_mode=bandwidth_mode)
     labels = tuple(data.z_labels())
     fits = [QuantileFit(tau=t, estimator=name, theta=qsol.theta,
-                        sigma=cov.sigma, se=cov.se, ci=cov.ci, level=level,
-                        labels=labels,
+                        sigma=cov.sigma, se=cov.se, labels=labels,
+                        ci=inference.confidence_intervals(qsol.theta, cov.sigma,
+                                                          data.n, CI_LEVEL),
                         diagnostics={"n_selected": data.n_selected, **diagnostics,
                                      "min_eigenvalue": cov.min_eigenvalue,
                                      "density_floored": cov.density_floored,
                                      "conditioning_dims_dropped":
                                          cov.conditioning_dims_dropped},
-                        qsol=qsol, first_stage=fs)
+                        qsol=qsol)
             for t, qsol, cov in zip(taus, qsols, covs)]
     return fits[0] if scalar else fits
 
 
 def fit_semiparametric_iv(data: ObservationSet, tau: float | Sequence[float],
-                          plan: BasisPlan | None = None, level: float = 0.95,
-                          bandwidth_mode: str = "rot"
+                          plan: BasisPlan | None = None, bandwidth_mode: str = "rot"
                           ) -> QuantileFit | list[QuantileFit]:
     """Inverse-selection-probability weighted QR with first-stage-aware
     covariance: series 2SLS, weights max(g_u, 1), weighted QR, plug-in
@@ -101,21 +99,20 @@ def fit_semiparametric_iv(data: ObservationSet, tau: float | Sequence[float],
         "moment_residual_max": float(np.abs(first_stage.moment_residual(fs)).max()),
         "mean_weight": float(wv.omega[data.selected].mean()),
     }
-    return _weighted_fit(data, tau, "semiparametric_iv", wv.omega, level,
+    return _weighted_fit(data, tau, "semiparametric_iv", wv.omega,
                          bandwidth_mode, diagnostics, fs=fs)
 
 
 def fit_uncorrected(data: ObservationSet, tau: float | Sequence[float],
-                    level: float = 0.95, bandwidth_mode: str = "rot"
-                    ) -> QuantileFit | list[QuantileFit]:
+                    bandwidth_mode: str = "rot") -> QuantileFit | list[QuantileFit]:
     """Complete-case QR: the weights are the selection dummies."""
-    return _weighted_fit(data, tau, "uncorrected", data.d.astype(float), level,
+    return _weighted_fit(data, tau, "uncorrected", data.d.astype(float),
                          bandwidth_mode, {})
 
 
 def fit_mar(data: ObservationSet, tau: float | Sequence[float],
-            trim_floor: float = 0.01, level: float = 0.95,
-            bandwidth_mode: str = "rot") -> QuantileFit | list[QuantileFit]:
+            trim_floor: float = 0.01, bandwidth_mode: str = "rot"
+            ) -> QuantileFit | list[QuantileFit]:
     """Probit-IPW QR under selection-on-observables, weights treated as known.
 
     Fitted selection probabilities are clamped below at trim_floor before
@@ -123,8 +120,7 @@ def fit_mar(data: ObservationSet, tau: float | Sequence[float],
     """
     omega, probit = baselines.mar_weights(data, trim_floor)
     diagnostics = {"probit_iterations": probit.iterations, "trim_floor": trim_floor}
-    return _weighted_fit(data, tau, "mar", omega, level, bandwidth_mode,
-                         diagnostics)
+    return _weighted_fit(data, tau, "mar", omega, bandwidth_mode, diagnostics)
 
 
 def fit(data: ObservationSet, tau: float | Sequence[float],
@@ -135,10 +131,11 @@ def fit(data: ObservationSet, tau: float | Sequence[float],
     tau is a float, which gives one QuantileFit, or a sequence of levels,
     which gives a list of fits in the same order. A sequence shares the
     weights, the bandwidths and the conditioning kernel across its levels.
+    Each fit's `ci` is at CI_LEVEL (95 %); another level is
+    `inference.confidence_intervals(fit.theta, fit.sigma, data.n, level)`.
 
-    Every estimator takes `level` and `bandwidth_mode`. Extra keywords:
-    `plan` for semiparametric_iv, `trim_floor` for mar, none for
-    uncorrected.
+    Every estimator takes `bandwidth_mode`. Extra keywords: `plan` for
+    semiparametric_iv, `trim_floor` for mar, none for uncorrected.
     """
     # the providers are looked up at call time, so rebinding a module
     # attribute (as a tracer does) reaches every caller

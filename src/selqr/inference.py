@@ -184,10 +184,9 @@ def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths):
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Asymptotic covariance of sqrt(n)(theta_hat - theta) plus intervals."""
+    """Asymptotic covariance of sqrt(n)(theta_hat - theta)."""
 
     sigma: np.ndarray
-    ci: np.ndarray              # (d_z, 2)
     se: np.ndarray              # sqrt(diag(sigma) / n)
     min_eigenvalue: float       # before PSD clipping
     density_floored: int        # rows whose density denominator was floored
@@ -195,7 +194,8 @@ class CovarianceEstimate:
 
 
 def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
-    """Normal-quantile intervals theta_k +/- z * sqrt(sigma_kk / n)."""
+    """Normal-quantile intervals theta_k +/- z * sqrt(sigma_kk / n) at any
+    level; every fit carries them at estimator.CI_LEVEL."""
     if not 0.0 < level < 1.0:
         raise InputError("confidence level must lie in (0, 1)")
     theta = np.asarray(theta, dtype=float)
@@ -207,7 +207,6 @@ def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
 def covariance(fit: FirstStageFit | None,
                qsol: QuantileSolution | Sequence[QuantileSolution],
                data: ObservationSet, omega: np.ndarray,
-               level: float = 0.95,
                bandwidth_mode: str = "rot"
                ) -> CovarianceEstimate | list[CovarianceEstimate]:
     """Plug-in covariance for a weighted quantile fit at one level or several.
@@ -288,10 +287,9 @@ def covariance(fit: FirstStageFit | None,
             sigma = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
             sigma = 0.5 * (sigma + sigma.T)
 
-        ci = confidence_intervals(q.theta, sigma, n, level)
         se = np.sqrt(np.clip(np.diag(sigma), 0.0, None) / n)
         estimates.append(CovarianceEstimate(
-            sigma=sigma, ci=ci, se=se, min_eigenvalue=min_eig,
+            sigma=sigma, se=se, min_eigenvalue=min_eig,
             density_floored=int(floored.sum()),
             conditioning_dims_dropped=int((~keep_dims).sum())))
     return estimates[0] if single else estimates

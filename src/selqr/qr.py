@@ -44,7 +44,7 @@ INTERPOLATE_STEPS = 21
 
 # Frisch-Newton interior point
 FN_STEP = 0.99995     # fraction of the distance to the boundary each step takes
-FN_GAP_TOL = 1e-10    # stopping duality gap, relative to sum_i w_i |y_i|
+FN_GAP_TOL = 1e-10    # stopping duality gap, relative to max(1, sum_i w_i |y_i|)
 FN_MAX_ITER = 50      # past this, solve falls back to HiGHS
 
 # at HiGHS's default (1e-7), dual simplex stopped at a non-optimal vertex
@@ -178,7 +178,7 @@ def _frisch_newton(Z, y, w, tau):
     zl = max(-r, 0) of x >= 0 and zu = max(r, 0) of x <= w. Each iteration
     factors Z'DZ once, and the corrector reuses the factor. Returns theta
     once the duality gap x'zl + (w-x)'zu is at most FN_GAP_TOL times
-    sum_i w_i |y_i|, or None after FN_MAX_ITER iterations. Raises
+    max(1, sum_i w_i |y_i|), or None after FN_MAX_ITER iterations. Raises
     LinAlgError when Z'DZ has no Cholesky factor.
     """
     n = len(y)
@@ -193,7 +193,7 @@ def _frisch_newton(Z, y, w, tau):
     near = np.abs(r) < eps
     zl[near] += eps
     zu[near] += eps
-    gap_tol = FN_GAP_TOL * float(w @ np.abs(y))
+    gap_tol = FN_GAP_TOL * max(1.0, float(w @ np.abs(y)))
     for _ in range(FN_MAX_ITER):
         gap = x @ zl + s @ zu
         if gap <= gap_tol:

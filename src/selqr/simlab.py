@@ -47,7 +47,6 @@ class SimulationSpec:
     tau: float = 0.5
     seed: int = 0
     estimators: tuple[str, ...] = est.ESTIMATOR_NAMES
-    level: float = 0.95
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -147,7 +146,7 @@ def _run_replication(spec: SimulationSpec, idx: int, fitters=None):
     for name in spec.estimators:
         try:
             qf = (fitters[name](gd, spec) if fitters else
-                  est.fit(gd.data, spec.tau, name, level=spec.level))
+                  est.fit(gd.data, spec.tau, name))
         except (NumericalError, np.linalg.LinAlgError) as exc:
             return {"index": idx, "error": f"{name}: {exc}"}
         out[name] = {
@@ -201,8 +200,7 @@ class MetricsTable:
             "spec": {
                 "setting": self.spec.setting, "mechanism": self.spec.mechanism,
                 "n": self.spec.n, "reps": self.spec.reps, "tau": self.spec.tau,
-                "seed": self.spec.seed, "level": self.spec.level,
-                "estimators": list(self.spec.estimators),
+                "seed": self.spec.seed, "estimators": list(self.spec.estimators),
             },
             "labels": list(self.labels),
             "theta_true": [float(v) for v in self.theta_true],

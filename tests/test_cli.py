@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 
@@ -9,7 +11,8 @@ from numpy.testing import assert_allclose
 from selqr import (ColumnMap, InputError, NumericalError, SimulationSpec,
                    corrected_cdf, default_plan, first_stage, fit, fit_mar,
                    fit_semiparametric_iv, generate, ingest_csv, write_csv)
-from selqr.cli import RunConfig, _write_cdf_csv, main, parse_column_map
+from selqr.cli import (RunConfig, _write_cdf_csv, build_parser, main,
+                       parse_column_map)
 from conftest import toy_data
 
 
@@ -93,11 +96,11 @@ class TestFitCommand:
 
     def test_default_config_hash_is_pinned(self, tmp_path, capsys):
         # moving a default of RunConfig or of its flags changes this hash
-        assert RunConfig().hash() == "6851edb0da99961e"
+        assert RunConfig().hash() == "a97ccecdb3033122"
         p, _ = _sim_csv(tmp_path, n=400)
         assert main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["config_hash"] == "6851edb0da99961e"
+        assert report["config_hash"] == "a97ccecdb3033122"
 
     def test_fit_recovers_truth_on_large_sample(self, tmp_path):
         p, gd = _sim_csv(tmp_path, n=5000)
@@ -240,6 +243,19 @@ class TestFitCommand:
         code = main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
                      "--estimators", "uncorrected"])
         assert code == 3
+
+
+@pytest.mark.parametrize("command, config, renamed", [
+    ("fit", RunConfig, {"taus": "tau"}),
+    ("simulate", SimulationSpec, {}),
+], ids=["fit", "simulate"])
+def test_every_config_field_has_one_flag(command, config, renamed):
+    # a field that no flag sets is a knob nothing outside the library reads
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    dests = [a.dest for a in sub._actions]
+    for f in dataclasses.fields(config):
+        assert dests.count(renamed.get(f.name, f.name)) == 1, f.name
 
 
 class TestSimulateCommand:

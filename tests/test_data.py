@@ -195,6 +195,23 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, d_x):
         assert_bit_equal(ingest_csv(p, used), data)
 
 
+@pytest.mark.parametrize("role", ["w", "x"])
+def test_column_orientation_is_never_guessed(role):
+    # a 1-D array is one column; a 2-D array must have n rows, so a
+    # transposed (k, n) array is refused instead of reshaped or transposed
+    n = 6
+    d, y = np.ones(n, dtype=int), np.arange(n, dtype=float)
+    cols = np.arange(2 * n, dtype=float).reshape(n, 2)
+    given = {"w": cols, "x": cols}
+    data = ObservationSet(d=d, y=y, **given)
+    assert np.array_equal(getattr(data, role), cols)
+    one = ObservationSet(d=d, y=y, **{**given, role: cols[:, 0]})
+    assert np.array_equal(getattr(one, role), cols[:, :1])
+    for bad in (cols.T, cols.reshape(n, 2, 1), np.float64(1.0)):
+        with pytest.raises(InputError, match=r"w and x take shape \(n,\) or \(n, k\)"):
+            ObservationSet(d=d, y=y, **{**given, role: bad})
+
+
 def test_empty_sample_is_an_input_error():
     with pytest.raises(InputError, match="at least one row"):
         ObservationSet(d=[], y=[], w=np.zeros((0, 1)), x=np.zeros((0, 1)))

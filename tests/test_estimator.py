@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from selqr import (InputError, ObservationSet, baselines, first_stage, fit,
                    fit_semiparametric_iv, inference)
+from selqr.estimator import CI_LEVEL
 from conftest import toy_data
 
 
@@ -30,6 +31,14 @@ class TestFitShapes:
         assert qf.labels == ("intercept", "x0", "w0", "w1")
         assert qf.theta.shape == (4,)
         assert (qf.ci[:, 0] < qf.ci[:, 1]).all()
+
+    def test_intervals_are_confidence_intervals_at_ci_level(self, data_mnar):
+        # the one level, applied once; any other comes from theta and sigma
+        assert CI_LEVEL == 0.95
+        for name in ("uncorrected", "mar", "semiparametric_iv"):
+            qf = fit(data_mnar, 0.5, estimator=name)
+            assert np.array_equal(qf.ci, inference.confidence_intervals(
+                qf.theta, qf.sigma, data_mnar.n, CI_LEVEL))
 
     def test_dispatcher(self, data_mnar):
         for name in ("uncorrected", "mar", "semiparametric_iv"):
@@ -73,21 +82,23 @@ def test_row_permutation_invariance(dataset_m2):
             assert sorted(perm[list(qp.qsol.active_set)]) == sorted(qf.qsol.active_set)
 
 
+@pytest.mark.parametrize("a, b", [(3.0, 2.0), (-40.0, 0.01), (1e4, 250.0)])
 @pytest.mark.parametrize("bandwidth_mode", ["rot", "cv"])
-def test_affine_equivariance_in_y(dataset_m2, bandwidth_mode):
-    # y -> 3 + 2y leaves the weights alone (the outcome spline's knots move
-    # with y), shifts the intercept and doubles every slope; the density of
-    # the outcome halves, so every standard error doubles
+def test_affine_equivariance_in_y(dataset_m2, bandwidth_mode, a, b):
+    # y -> a + b y with b > 0 leaves the weights alone (the outcome spline's
+    # knots move with y), shifts the intercept by a and scales every
+    # coefficient by b; the density of the outcome scales by 1/b, so every
+    # standard error scales by b
     data = dataset_m2.data
-    moved = ObservationSet(d=data.d, y=3.0 + 2.0 * data.y, w=data.w, x=data.x)
+    moved = ObservationSet(d=data.d, y=a + b * data.y, w=data.w, x=data.x)
     shift = np.zeros(data.design_z().shape[1])
-    shift[data.z_labels().index("intercept")] = 3.0
+    shift[data.z_labels().index("intercept")] = a
     for name in ("uncorrected", "mar", "semiparametric_iv"):
         for tau in (0.25, 0.5):
             qf = fit(data, tau, name, bandwidth_mode=bandwidth_mode)
             qm = fit(moved, tau, name, bandwidth_mode=bandwidth_mode)
-            assert_allclose(qm.theta, 2.0 * qf.theta + shift, rtol=1e-10)
-            assert_allclose(qm.se, 2.0 * qf.se, rtol=1e-9)
+            assert_allclose(qm.theta, b * qf.theta + shift, rtol=1e-10)
+            assert_allclose(qm.se, b * qf.se, rtol=1e-9)
             assert sorted(qm.qsol.active_set) == sorted(qf.qsol.active_set)
 
 

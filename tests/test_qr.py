@@ -280,6 +280,18 @@ class TestFallback:
         assert sol.objective == pytest.approx(lp_qr_objective(Z, y, w, 0.75),
                                               rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [50, 200, 1000])
+    def test_zero_outcome_needs_no_fallback(self, monkeypatch, n):
+        # sum w|y| = 0 must not ask the interior point for a zero duality gap
+        def no_highs(*args):
+            raise AssertionError("HiGHS fallback ran")
+        monkeypatch.setattr(selqr.qr, "_highs_vertex", no_highs)
+        rng = np.random.default_rng(n)
+        Z = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        sol = solve(QuantileProblem(Z=Z, y=np.zeros(n), w=np.ones(n), tau=0.5))
+        assert_allclose(sol.theta, 0.0, atol=1e-12)
+        assert sol.objective == pytest.approx(0.0, abs=1e-12)
+
 
 def seed42_iv_problem():
     """Replication 3 of SimulationSpec("C", "M2", n=1000, seed=42200026),

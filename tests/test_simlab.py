@@ -76,7 +76,7 @@ def _stub_fitters(theta_fn):
             ci = np.column_stack([theta - 1e-9, theta + 1e-9])
             return QuantileFit(tau=spec.tau, estimator=name, theta=theta,
                                sigma=np.zeros((3, 3)), se=np.zeros(3), ci=ci,
-                               level=spec.level, labels=("intercept", "x0", "w0"))
+                               labels=("intercept", "x0", "w0"))
         return fitter
     return {name: make(name) for name in
             ("uncorrected", "mar", "semiparametric_iv")}
