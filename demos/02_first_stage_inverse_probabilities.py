@@ -18,7 +18,8 @@ gd = generate(SimulationSpec("C", "M2", n=10000, reps=1, seed=11), 0)
 data = gd.data
 
 fit = estimate_unconstrained(data)
-print(f"outcome basis J = {fit.plan.j}, instrument basis K = {fit.plan.k}")
+print(f"outcome basis J = {fit.designs.phi.shape[1]}, "
+      f"instrument basis K = {fit.designs.b.shape[1]}")
 print(f"beta_u = {np.array2string(fit.beta_u, precision=3)}")
 
 resid = moment_residual(fit)

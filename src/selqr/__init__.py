@@ -9,8 +9,8 @@ The cone projection fits the g >= 1 bound in coefficient space.
 
 __version__ = "0.1.0"
 
-from .basis import (BasisPlan, BlockSpec, DesignMatrices, KnotVector,
-                    build_designs, default_plan, eval_basis, make_knots)
+from .basis import (BasisPlan, DesignMatrices, KnotVector, build_designs,
+                    default_plan, eval_basis, make_knots)
 from .baselines import ProbitFit, probit_fit
 from .data import ColumnMap, ObservationSet, ingest_csv, write_csv
 from .distribution import CorrectedCDF, corrected_cdf
@@ -27,7 +27,7 @@ from .qr import (QuantileProblem, QuantileSolution, check_loss,
 from .simlab import GeneratedDataset, MetricsTable, SimulationSpec, generate, run
 
 __all__ = [
-    "BasisPlan", "BlockSpec", "ColumnMap", "CorrectedCDF", "CovarianceEstimate",
+    "BasisPlan", "ColumnMap", "CorrectedCDF", "CovarianceEstimate",
     "DesignMatrices", "FirstStageFit", "GeneratedDataset", "InputError",
     "KnotVector", "MetricsTable", "NumericalError", "ObservationSet",
     "ProbitFit", "QuantileFit", "QuantileProblem", "QuantileSolution",

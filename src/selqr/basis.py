@@ -1,12 +1,12 @@
 """Clamped B-spline bases and the two first-stage design matrices.
 
 The first stage works with two matrices built from the same sample: an
-outcome-side design ``Phi`` whose rows expand (Y_i, X_i), and an
-instrument-side design ``B`` whose rows expand (W_i, X_i). Each design is a
-single clamped B-spline block for one variable plus columns for the
-variables entered linearly. Spline evaluation is clamped to the knot range,
-so fitted functions extend to arbitrary query points as constants in the
-spline variable beyond the training support.
+outcome-side design ``Phi = [spline(Y), X] * D`` and an instrument-side
+design ``B = [spline(W_0), W_1, ..., X]``. A `BasisPlan` is the pair of knot
+vectors of those two splines; `build_designs` is the one place that lays
+the columns out. Spline evaluation is clamped to the knot range, so fitted
+functions extend to arbitrary query points as constants in the spline
+variable beyond the training support.
 """
 
 from __future__ import annotations
@@ -102,78 +102,12 @@ def eval_basis(kv: KnotVector, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BlockSpec:
-    """Layout of one design matrix: a spline block plus linear columns.
-
-    spline_var / linear_vars name sample columns: "y", "w0", "w1", ...,
-    "x0", "x1", ... With spline_var None the block starts with a constant
-    column instead of a spline (the spline's partition of unity otherwise
-    supplies the constant).
-    """
-
-    spline_var: str | None
-    knots: KnotVector | None
-    linear_vars: tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "linear_vars", tuple(self.linear_vars))
-        if (self.spline_var is None) != (self.knots is None):
-            raise InputError("spline_var and knots must be supplied together")
-
-    @property
-    def n_columns(self) -> int:
-        lead = 1 if self.knots is None else self.knots.n_basis
-        return lead + len(self.linear_vars)
-
-
-def _column(data: ObservationSet, name: str) -> np.ndarray:
-    if name == "y":
-        return data.y_filled()
-    kind, idx = name[0], name[1:]
-    try:
-        i = int(idx)
-        if kind == "w":
-            return data.w[:, i]
-        if kind == "x":
-            return data.x[:, i]
-    except (ValueError, IndexError):
-        pass
-    raise InputError(f"unknown variable name {name!r}")
-
-
-def eval_block(spec: BlockSpec, data: ObservationSet) -> np.ndarray:
-    """One block evaluated on every row; unselected rows take y = 0 (clamped)."""
-    cols = []
-    if spec.knots is None:
-        cols.append(np.ones(data.n))
-    else:
-        cols.append(eval_basis(spec.knots, _column(data, spec.spline_var)))
-    for name in spec.linear_vars:
-        cols.append(_column(data, name))
-    return np.column_stack(cols)
-
-
-@dataclass(frozen=True)
 class BasisPlan:
-    """The pair of block layouts for the outcome and instrument designs."""
+    """Knot vectors of the two splines: Y in the outcome design, the first
+    instrument in the instrument design. `build_designs` fixes the rest."""
 
-    phi: BlockSpec
-    b: BlockSpec
-
-    def __post_init__(self):
-        if self.b.n_columns < self.phi.n_columns:
-            raise InputError(
-                f"instrument design needs at least as many columns as the outcome "
-                f"design (got K={self.b.n_columns} < J={self.phi.n_columns})"
-            )
-
-    @property
-    def j(self) -> int:
-        return self.phi.n_columns
-
-    @property
-    def k(self) -> int:
-        return self.b.n_columns
+    y_knots: KnotVector
+    w_knots: KnotVector
 
 
 @dataclass(frozen=True)
@@ -193,32 +127,31 @@ class DesignMatrices:
 
 
 def build_designs(data: ObservationSet, plan: BasisPlan) -> DesignMatrices:
-    """Assemble Phi (n x J) and B (n x K) for a sample.
+    """Assemble Phi = [spline(Y), X] * D (n x J) and B = [spline(W_0), W_1..,
+    X] (n x K) for a sample.
 
-    Phi rows with D_i = 0 are zeroed; `eval_block(plan.phi, data)` gives
-    the unmasked rows, which hold the clamped evaluation at (0, X_i).
+    Phi rows with D_i = 0 are zeroed; before the mask they hold the clamped
+    evaluation at (0, X_i). K < J is an InputError: the moment condition
+    would not identify beta.
     """
-    phi = eval_block(plan.phi, data) * data.selected[:, None]
-    b = eval_block(plan.b, data)
-    if phi.shape[1] != plan.j or b.shape[1] != plan.k:
-        raise InputError("plan dimensions inconsistent with the data")
+    phi = np.column_stack([eval_basis(plan.y_knots, data.y_filled()), data.x])
+    phi *= data.selected[:, None]
+    b = np.column_stack([eval_basis(plan.w_knots, data.w[:, 0]), data.w[:, 1:], data.x])
+    if b.shape[1] < phi.shape[1]:
+        raise InputError(
+            f"instrument design needs at least as many columns as the outcome "
+            f"design (got K={b.shape[1]} < J={phi.shape[1]})"
+        )
     return DesignMatrices(phi=phi, b=b)
 
 
 def default_plan(data: ObservationSet,
                  y_degree: int = 2, y_interior: int = 0,
                  w_degree: int = 2, w_interior: int = 2) -> BasisPlan:
-    """Quadratic-spline layout used throughout: spline in Y for the outcome
-    design, spline in the first instrument for the instrument design, all
-    covariates (and any extra instruments) entered linearly.
+    """Knots over the selected outcomes and the first instrument column.
 
-    With one covariate and the defaults this gives J = 4 and K = 6.
+    With one covariate, one instrument and the defaults this gives J = 4
+    and K = 6.
     """
-    x_vars = tuple(f"x{i}" for i in range(data.x.shape[1]))
-    extra_w = tuple(f"w{i}" for i in range(1, data.w.shape[1]))
-    y_kv = make_knots(data.y[data.selected], y_interior, y_degree)
-    w_kv = make_knots(data.w[:, 0], w_interior, w_degree)
-    return BasisPlan(
-        phi=BlockSpec("y", y_kv, x_vars),
-        b=BlockSpec("w0", w_kv, extra_w + x_vars),
-    )
+    return BasisPlan(y_knots=make_knots(data.y[data.selected], y_interior, y_degree),
+                     w_knots=make_knots(data.w[:, 0], w_interior, w_degree))

@@ -106,15 +106,15 @@ def cmd_cdf(data, plan: BasisPlan) -> list[tuple[float, float, float]]:
     """(y, corrected F, empirical F) on the selected outcome grid.
 
     The corrected CDF weighs rows by the pointwise weights max(g_u, 1),
-    which the cone projection does not change, so it is not run.
+    which the cone projection does not change, so it is not run. Under unit
+    weights the same step function is the empirical CDF, on the same grid.
     """
     fs = first_stage.estimate_unconstrained(data, plan)
     corrected = distribution.corrected_cdf(fs, data)
-    y_sel = np.sort(data.y[data.selected])
-    grid = np.unique(y_sel)
-    ecdf = np.searchsorted(y_sel, grid, side="right") / len(y_sel)
-    corr = corrected.evaluate(grid)
-    return [(float(g), float(c), float(e)) for g, c, e in zip(grid, corr, ecdf)]
+    y_sel = data.y[data.selected]
+    empirical = distribution.CorrectedCDF.from_values(y_sel, np.ones(len(y_sel)))
+    return list(zip(corrected.support.tolist(), corrected.cum_weights.tolist(),
+                    empirical.cum_weights.tolist()))
 
 
 def _write_cdf_csv(rows, stream):

@@ -40,6 +40,8 @@ class ObservationSet:
     def __post_init__(self):
         # copy before freezing so caller-owned arrays stay writable
         d = np.array(self.d, dtype=int)
+        if d.ndim != 1:
+            raise InputError(f"d must be 1-D, got shape {d.shape}")
         if d.size == 0:
             raise InputError("a sample needs at least one row")
         y = np.array(self.y, dtype=float)

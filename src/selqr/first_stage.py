@@ -23,8 +23,8 @@ import numpy as np
 import scipy.linalg
 
 from . import activeset
-from .basis import (BasisPlan, DesignMatrices, _column, build_designs,
-                    default_plan, eval_basis)
+from .basis import (BasisPlan, DesignMatrices, build_designs, default_plan,
+                    eval_basis)
 from .data import ObservationSet
 from .errors import InputError, NumericalError
 
@@ -86,9 +86,9 @@ def estimate_unconstrained(data: ObservationSet,
     """
     if plan is None:
         plan = default_plan(data)
-    if data.n <= plan.k:
-        raise InputError(f"need n > K = {plan.k} rows, got {data.n}")
     designs = build_designs(data, plan)
+    if data.n <= designs.b.shape[1]:
+        raise InputError(f"need n > K = {designs.b.shape[1]} rows, got {data.n}")
     n = data.n
     H = designs.phi.T @ designs.b / n
     G = designs.b.T @ designs.b / n
@@ -112,42 +112,36 @@ def moment_residual(fit: FirstStageFit) -> np.ndarray:
     return fit.c_hat - fit.H_hat.T @ fit.beta_u
 
 
-def _grid_x_rows(data: ObservationSet, var_names) -> np.ndarray:
-    """Values of the linear variables at which the bound is enforced off-sample.
+def _grid_x_rows(data: ObservationSet) -> np.ndarray:
+    """Covariate values at which the bound is enforced off-sample.
 
-    Linear variables make each constraint affine in them, so enforcing at
-    the per-coordinate extremes (bounding-box corners) implies the bound on
-    every interior row. Falls back to evenly subsampled observed rows when
-    the corner count would explode.
+    Covariates enter linearly, so each constraint is affine in them, and
+    enforcing at the per-coordinate extremes (bounding-box corners) implies
+    the bound on every interior row; with no covariates the one corner is
+    the empty row. Falls back to evenly subsampled observed rows when the
+    corner count would explode.
     """
-    if not var_names:
-        return np.zeros((1, 0))
-    cols = np.column_stack([_column(data, v) for v in var_names])
-    if len(var_names) <= 8:
-        ranges = [(c.min(), c.max()) for c in cols.T]
+    x = data.x
+    if x.shape[1] <= 8:
+        ranges = [(c.min(), c.max()) for c in x.T]
         return np.array(list(itertools.product(*ranges)))
     idx = np.unique(np.linspace(0, data.n - 1, MAX_X_ROWS).round().astype(int))
-    return cols[idx]
+    return x[idx]
 
 
 def constraint_matrix(fit: FirstStageFit, data: ObservationSet) -> np.ndarray:
     """Rows of phi at every point where g >= 1 is enforced.
 
     The set is the selected sample points plus a uniform grid over the
-    spline variable's boundary range crossed with the linear-variable
-    corners; duplicates are collapsed.
+    outcome spline's boundary range crossed with the covariate corners;
+    duplicates are collapsed.
     """
     phi_sel = fit.designs.phi[data.selected]
-    spec = fit.plan.phi
-    xrows = _grid_x_rows(data, spec.linear_vars)
-    if spec.knots is not None:
-        ygrid = np.linspace(spec.knots.lo, spec.knots.hi, Y_GRID_POINTS)
-        lead = eval_basis(spec.knots, ygrid)
-    else:
-        lead = np.ones((1, 1))
-    gy = np.repeat(lead, len(xrows), axis=0)
-    gx = np.tile(xrows, (len(lead), 1))
-    grid_rows = np.column_stack([gy, gx]) if gx.shape[1] else gy
+    kv = fit.plan.y_knots
+    lead = eval_basis(kv, np.linspace(kv.lo, kv.hi, Y_GRID_POINTS))
+    xrows = _grid_x_rows(data)
+    grid_rows = np.column_stack([np.repeat(lead, len(xrows), axis=0),
+                                 np.tile(xrows, (len(lead), 1))])
     return np.unique(np.vstack([phi_sel, grid_rows]), axis=0)
 
 

@@ -69,9 +69,11 @@ def quantile_score(u, tau: float):
 
 @dataclass(frozen=True)
 class QuantileProblem:
-    """Design Z (first column constant), outcome y, weights w >= 0, level tau.
+    """Design Z (first column constant), outcome y, finite weights w >= 0,
+    level tau.
 
-    Rows with w_i = 0 are dropped before solving; their y values may be NaN.
+    Rows with w_i = 0 are dropped before solving; their y and Z values may
+    be NaN.
     """
 
     Z: np.ndarray
@@ -90,13 +92,15 @@ class QuantileProblem:
             raise InputError("tau must lie strictly inside (0, 1)")
         if Z.shape[0] != len(y) or len(w) != len(y):
             raise InputError("Z, y, w must share the row count")
-        if (w < 0).any():
-            raise InputError("weights must be nonnegative")
+        if not (np.isfinite(w).all() and (w >= 0).all()):
+            raise InputError("weights must be finite and nonnegative")
         keep = w > 0
         if keep.sum() < Z.shape[1]:
             raise InputError("fewer effectively weighted rows than coefficients")
         if not np.isfinite(y[keep]).all():
             raise InputError("non-finite outcome on a positively weighted row")
+        if not np.isfinite(Z[keep]).all():
+            raise InputError("non-finite design entry on a positively weighted row")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from selqr.activeset import kkt_residuals, solve_qp
 from selqr.first_stage import cone_project, estimate_unconstrained
 from oracles import brute_force_qr, enumerate_qp
 from conftest import toy_data
-from test_first_stage import exactly_identified_plan
 
 N_JOBS = min(4, os.cpu_count() or 1)
 REPS = 500
@@ -165,7 +164,8 @@ def test_criterion_7_exactly_identified_moment_residual():
     worst = 0.0
     for seed in range(5):
         data = toy_data(n=800, seed=seed)
-        fit = estimate_unconstrained(data, exactly_identified_plan(data))
+        # K = J = 4: quadratic splines without interior knots, linear x
+        fit = estimate_unconstrained(data, selqr.default_plan(data, 2, 0, 2, 0))
         worst = max(worst, float(np.abs(selqr.moment_residual(fit)).max()))
     _announce(7, worst < 1e-8,
               f"exactly identified first stage drives the moment residual to "

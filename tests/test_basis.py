@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from selqr import (BasisPlan, BlockSpec, InputError, KnotVector, build_designs,
-                   default_plan, eval_basis, make_knots)
-from selqr.basis import eval_block
+from selqr import (InputError, KnotVector, build_designs, default_plan,
+                   eval_basis, make_knots)
 from conftest import toy_data
 
 
@@ -68,17 +67,9 @@ class TestEvalBasis:
 class TestBuildDesigns:
     def test_paper_configuration_dimensions(self):
         data = toy_data()
-        plan = default_plan(data)
-        assert plan.j == 4 and plan.k == 6
-        dm = build_designs(data, plan)
+        dm = build_designs(data, default_plan(data))
         assert dm.phi.shape == (data.n, 4)
         assert dm.b.shape == (data.n, 6)
-
-    def test_intercept_only_phi(self):
-        data = toy_data(n=30)
-        plan = BasisPlan(phi=BlockSpec(None, None, ()),
-                         b=BlockSpec(None, None, ("w0",)))
-        assert_allclose(eval_block(plan.phi, data), np.ones((30, 1)))
 
     def test_row_count_preserved(self):
         data = toy_data(n=10, all_selected=True)
@@ -87,23 +78,17 @@ class TestBuildDesigns:
 
     def test_unselected_rows_masked(self):
         data = toy_data()
-        dm = build_designs(data, default_plan(data))
+        plan = default_plan(data)
+        dm = build_designs(data, plan)
         assert (dm.phi[~data.selected] == 0).all()
-        raw = eval_block(default_plan(data).phi, data)
+        raw = np.column_stack([eval_basis(plan.y_knots, data.y_filled()), data.x])
         unsel = ~data.selected
         # unselected rows hold the clamped evaluation at (0, X_i)
         assert (np.abs(raw[unsel]).sum(axis=1) > 0).all()
         assert_allclose(raw[data.selected], dm.phi[data.selected])
 
-    def test_unknown_column_errors(self):
-        data = toy_data(n=30)
-        plan = BasisPlan(phi=BlockSpec(None, None, ("x7",)),
-                         b=BlockSpec(None, None, ("w0",)))
-        with pytest.raises(InputError, match="unknown variable"):
-            build_designs(data, plan)
-
     def test_k_must_cover_j(self):
-        kv = KnotVector(degree=2, lo=0.0, hi=1.0, interior=(0.3, 0.6))
+        data = toy_data()
+        # J = 7 + 1 outcome columns against K = 3 + 1 instrument columns
         with pytest.raises(InputError, match="at least as many columns"):
-            BasisPlan(phi=BlockSpec("y", kv, ("x0",)),
-                      b=BlockSpec(None, None, ("w0",)))
+            build_designs(data, default_plan(data, 2, 4, 2, 0))

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from selqr import (ColumnMap, InputError, NumericalError, SimulationSpec,
-                   corrected_cdf, default_plan, first_stage, fit, fit_mar,
-                   fit_semiparametric_iv, generate, ingest_csv, write_csv)
-from selqr.cli import (RunConfig, _write_cdf_csv, build_parser, main,
+from selqr import (ColumnMap, InputError, NumericalError, ObservationSet,
+                   SimulationSpec, corrected_cdf, default_plan, first_stage,
+                   fit, fit_mar, fit_semiparametric_iv, generate, ingest_csv,
+                   write_csv)
+from selqr.cli import (RunConfig, _write_cdf_csv, build_parser, cmd_cdf, main,
                        parse_column_map)
 from conftest import toy_data
 
@@ -245,6 +246,16 @@ class TestFitCommand:
         assert code == 3
 
 
+@pytest.mark.parametrize("command", ["fit", "cdf"])
+def test_fewer_instrument_than_outcome_columns_is_an_input_error(
+        tmp_path, capsys, command):
+    # J = 7 + 1 outcome columns against K = 3 + 1 instrument columns
+    p, _ = _sim_csv(tmp_path, n=200)
+    assert main([command, "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
+                 "--y-interior-knots", "4", "--w-interior-knots", "0"]) == 2
+    assert "at least as many columns" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, config, renamed", [
     ("fit", RunConfig, {"taus": "tau"}),
     ("simulate", SimulationSpec, {}),
@@ -320,6 +331,16 @@ class TestCdfCommand:
         assert (np.diff(rows[:, 1]) >= 0).all()
         assert (np.diff(rows[:, 2]) >= 0).all()
         assert rows[-1, 1] == 1.0 and rows[-1, 2] == 1.0
+
+    def test_empirical_column_is_the_ecdf_on_tied_outcomes(self):
+        data = toy_data(n=400, seed=5)
+        tied = ObservationSet(d=data.d, y=np.round(data.y), w=data.w, x=data.x)
+        rows = np.array(cmd_cdf(tied, default_plan(tied)))
+        y_sel = np.sort(tied.y[tied.selected])
+        assert len(rows) < len(y_sel)
+        assert np.array_equal(rows[:, 0], np.unique(y_sel))
+        assert np.array_equal(
+            rows[:, 2], np.searchsorted(y_sel, rows[:, 0], side="right") / len(y_sel))
 
     def test_cdf_runs_without_the_cone_projection(self, tmp_path, monkeypatch):
         # the corrected CDF weighs rows by max(g_u, 1); on this sample the

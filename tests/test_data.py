@@ -215,3 +215,11 @@ def test_column_orientation_is_never_guessed(role):
 def test_empty_sample_is_an_input_error():
     with pytest.raises(InputError, match="at least one row"):
         ObservationSet(d=[], y=[], w=np.zeros((0, 1)), x=np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("d, y", [(1, 1.0), ([[1, 0]], [[1.0, np.nan]])],
+                         ids=["scalar", "one_by_two"])
+def test_d_must_be_one_dimensional(d, y):
+    # a scalar d once raised a raw TypeError, and a (1, 2) d passed as one row
+    with pytest.raises(InputError, match="d must be 1-D"):
+        ObservationSet(d=d, y=y, w=np.ones((1, 1)), x=np.zeros((1, 0)))

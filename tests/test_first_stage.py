@@ -1,24 +1,14 @@
 import dataclasses
 
 import numpy as np
-import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
-from selqr import (BasisPlan, BlockSpec, InputError, SimulationSpec,
-                   cone_project, estimate_unconstrained, generate, make_knots,
-                   moment_residual, weights)
+from selqr import (SimulationSpec, cone_project, default_plan,
+                   estimate_unconstrained, generate, moment_residual, weights)
 from selqr.activeset import kkt_residuals, solve_qp
-from selqr.first_stage import constraint_matrix
 from oracles import enumerate_qp
 from conftest import toy_data
-
-
-def exactly_identified_plan(data):
-    """K = J = 4: quadratic w-spline with no interior knots plus linear x."""
-    return BasisPlan(
-        phi=BlockSpec("y", make_knots(data.y[data.selected], 0, 2), ("x0",)),
-        b=BlockSpec("w0", make_knots(data.w[:, 0], 0, 2), ("x0",)))
 
 
 class TestUnconstrained:
@@ -51,7 +41,8 @@ class TestUnconstrained:
 
     def test_moment_residual_zero_when_exactly_identified(self):
         data = toy_data(n=600, seed=10)
-        fit = estimate_unconstrained(data, exactly_identified_plan(data))
+        # K = J = 4: quadratic w-spline with no interior knots plus linear x
+        fit = estimate_unconstrained(data, default_plan(data, 2, 0, 2, 0))
         assert np.abs(moment_residual(fit)).max() < 1e-8
 
     def test_overidentified_residual_is_projection_residual(self, data_mnar):
@@ -90,13 +81,6 @@ class TestConeProject:
             _, obj_oracle = enumerate_qp(Q, q, A, b)
             assert abs(sol.objective - obj_oracle) < 1e-8
 
-    def test_unknown_linear_variable_is_input_error(self, data_mnar):
-        fit = estimate_unconstrained(data_mnar)
-        phi = dataclasses.replace(fit.plan.phi, linear_vars=("x7",))
-        fit = dataclasses.replace(fit, plan=dataclasses.replace(fit.plan, phi=phi))
-        with pytest.raises(InputError, match="x7"):
-            constraint_matrix(fit, data_mnar)
-
     def test_idempotent(self, dataset_m2):
         fit = cone_project(estimate_unconstrained(dataset_m2.data), dataset_m2.data)
         fit2 = cone_project(fit, dataset_m2.data)
@@ -126,7 +110,7 @@ class TestConeProject:
         A = fit.constraint_points
         obj = lambda beta: np.mean((phi_sel @ (beta - fit.beta_u)) ** 2)
         rng = np.random.default_rng(0)
-        lead = fit.plan.phi.knots.n_basis
+        lead = fit.plan.y_knots.n_basis
         for _ in range(100):
             cand = fit.beta_u + rng.standard_normal(len(fit.beta_u))
             lift = max(0.0, 1.0 - (A @ cand).min()) + 1e-12

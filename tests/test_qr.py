@@ -118,7 +118,9 @@ class TestSolve:
     def test_zero_weight_rows_dropped(self):
         y = np.array([1.0, np.nan, 3.0, 2.0])
         w = np.array([1.0, 0.0, 1.0, 1.0])
-        sol = solve(QuantileProblem(Z=np.ones((4, 1)), y=y, w=w, tau=0.5))
+        Z = np.ones((4, 1))
+        Z[1] = np.nan
+        sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=0.5))
         assert_allclose(sol.theta, [2.0], atol=1e-9)
 
     def test_rank_deficient_design(self):
@@ -135,6 +137,19 @@ class TestSolve:
         with pytest.raises(InputError):
             QuantileProblem(Z=np.ones((3, 1)), y=np.arange(3.0),
                             w=np.array([1.0, -1.0, 1.0]), tau=0.5)
+
+    @pytest.mark.parametrize("bad_w, bad_z, message", [
+        (np.nan, 0.0, "weights must be finite"),      # once silently dropped
+        (np.inf, 0.0, "weights must be finite"),      # once a NumericalError
+        (1.0, np.nan, "non-finite design entry"),     # once a raw LinAlgError
+    ], ids=["nan_weight", "inf_weight", "nan_design"])
+    def test_non_finite_weights_and_design_rejected(self, bad_w, bad_z, message):
+        rng = np.random.default_rng(0)
+        Z = np.column_stack([np.ones(20), rng.standard_normal(20)])
+        w = np.ones(20)
+        Z[3, 1], w[3] = bad_z, bad_w
+        with pytest.raises(InputError, match=message):
+            solve(QuantileProblem(Z=Z, y=rng.standard_normal(20), w=w, tau=0.5))
 
 
 def non_optimal_vertex():
