@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import nnls
 
 from .errors import NumericalError
 
@@ -54,6 +53,7 @@ def solve_qp(Q: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray) -> QPSo
     if (h <= 0.0).all():
         return QPSolution(x_u, (), 0, _objective(Q, q, x_u))
 
+    from scipy.optimize import nnls     # on use: no estimator projects
     E = np.vstack([scipy.linalg.solve_triangular(L, A.T, lower=True), h])
     e = np.zeros(len(E))
     e[-1] = 1.0
@@ -92,6 +92,7 @@ def kkt_residuals(Q, q, A, b, x) -> dict:
     if active.size:
         lam, *_ = np.linalg.lstsq(A[active].T, grad, rcond=None)
         if lam.min() < 0.0:
+            from scipy.optimize import nnls
             lam, _ = nnls(A[active].T, grad)
         stationarity = float(np.abs(grad - A[active].T @ lam).max())
         min_multiplier = float(lam.min())

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr
 
 from .data import ObservationSet
 from .errors import InputError, NumericalError
@@ -13,6 +13,7 @@ from .errors import InputError, NumericalError
 PROBIT_GRAD_TOL = 1e-8
 PROBIT_MAX_ITER = 200
 SEPARATION_BOUND = 30.0
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))   # scipy.stats' _norm_pdf_logC
 
 
 @dataclass(frozen=True)
@@ -23,17 +24,20 @@ class ProbitFit:
     iterations: int
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:
-        return norm.cdf(np.atleast_2d(X) @ self.gamma)
+        return ndtr(np.atleast_2d(X) @ self.gamma)
 
 
 def _probit_parts(gamma, d, X):
     """Mean log-likelihood, gradient and Hessian (all per observation)."""
     s = X @ gamma
-    # phi/Phi and phi/(1-Phi) via log-space for tail stability
-    r1 = np.exp(norm.logpdf(s) - norm.logcdf(s))
-    r0 = np.exp(norm.logpdf(s) - norm.logsf(s))
+    # phi/Phi and phi/(1-Phi) via log-space for tail stability; the same
+    # kernels as scipy.stats.norm's logpdf, logcdf and logsf
+    logpdf = -s**2 / 2.0 - _LOG_SQRT_2PI
+    logcdf, logsf = log_ndtr(s), log_ndtr(-s)
+    r1 = np.exp(logpdf - logcdf)
+    r0 = np.exp(logpdf - logsf)
     sel = d == 1
-    ll = np.where(sel, norm.logcdf(s), norm.logsf(s)).mean()
+    ll = np.where(sel, logcdf, logsf).mean()
     score = np.where(sel, r1, -r0)
     curv = np.where(sel, -s * r1 - r1**2, s * r0 - r0**2)
     grad = X.T @ score / len(d)

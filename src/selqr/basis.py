@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .data import ObservationSet
 from .errors import InputError
@@ -93,11 +92,32 @@ def eval_basis(kv: KnotVector, x) -> np.ndarray:
     """Evaluate all basis functions at points x (clamped to [lo, hi]).
 
     Returns shape (n_basis,) for scalar x, else (len(x), n_basis). Entries
-    are nonnegative and each row sums to one.
+    are nonnegative and each row sums to one. The k + 1 nonzero values of a
+    row come from the Cox-de Boor recurrence, run over all points at once
+    in the order of scipy's `_deBoor_D`, so the matrix equals
+    `scipy.interpolate.BSpline.design_matrix(...).toarray()` bit for bit.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     pts = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), kv.lo, kv.hi)
-    out = BSpline.design_matrix(pts, kv.full_knots(), kv.degree).toarray()
+    if np.isnan(pts).any():
+        raise InputError("cannot evaluate a spline basis at NaN")
+    t, k, n_basis = kv.full_knots(), kv.degree, kv.n_basis
+    # span ell with t[ell] <= x < t[ell+1]; x = hi falls in the last one.
+    # Interior knots are distinct and inside (lo, hi), so t[ell] < t[ell+1]
+    # and xb > xa below: scipy's xb == xa branch cannot fire.
+    ell = np.clip(np.searchsorted(t, pts, side="right") - 1, k, n_basis - 1)
+    h = np.zeros((len(pts), k + 1))
+    h[:, 0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for m in range(1, j + 1):
+            xb, xa = t[ell + m], t[ell + m - j]
+            w = hh[:, m - 1] / (xb - xa)
+            h[:, m - 1] += w * (xb - pts)
+            h[:, m] = w * (pts - xa)
+    out = np.zeros((len(pts), n_basis))
+    np.put_along_axis(out, (ell - k)[:, None] + np.arange(k + 1), h, axis=1)
     return out[0] if scalar else out
 
 

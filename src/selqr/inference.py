@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .data import ObservationSet
 from .errors import InputError, NumericalError
@@ -199,7 +199,7 @@ def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
     if not 0.0 < level < 1.0:
         raise InputError("confidence level must lie in (0, 1)")
     theta = np.asarray(theta, dtype=float)
-    z = norm.ppf(1.0 - (1.0 - level) / 2.0)
+    z = ndtri(1.0 - (1.0 - level) / 2.0)
     half = z * np.sqrt(np.clip(np.diag(np.atleast_2d(sigma)), 0.0, None) / n)
     return np.column_stack([theta - half, theta + half])
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import linprog, lsq_linear
 
 from .errors import InputError, NumericalError
 
@@ -245,6 +244,7 @@ def _highs_vertex(Z, y, w, tau, zero_tol):
     """HiGHS dual simplex on the dual LP; theta from its equality
     multipliers, re-solved (`_interpolate`) where exactly d residuals are
     within zero_tol."""
+    from scipy.optimize import linprog     # loaded only when a solve falls back
     d = Z.shape[1]
     # a = 0 is feasible and the box bounds the objective, so a nonzero
     # status can only be an iteration or time limit
@@ -311,6 +311,7 @@ def kb_stationarity(Z, resid, w, tau, zero_tol=1e-9) -> float:
         except np.linalg.LinAlgError:
             pass
     if a_h is None:
+        from scipy.optimize import lsq_linear     # degenerate vertices only
         a_h = lsq_linear(Zh_t, -base, bounds=(lo, hi), method="bvls").x
     return float(np.abs(base + Zh_t @ a_h).max())
 

@@ -18,8 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm, t as student_t
+from scipy.special import expit, ndtr, ndtri, stdtrit
 
 from . import estimator as est
 from .data import ObservationSet
@@ -78,7 +77,7 @@ class GeneratedDataset:
 
 def _mixture_quantile(tau: float) -> float:
     """tau-quantile of 0.4 N(0, 1.5^2) + 0.6 N(0, 1), by bisection to 1e-10."""
-    cdf = lambda v: 0.4 * norm.cdf(v / 1.5) + 0.6 * norm.cdf(v)
+    cdf = lambda v: 0.4 * ndtr(v / 1.5) + 0.6 * ndtr(v)
     lo, hi = -20.0, 20.0
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
@@ -93,18 +92,18 @@ def _draw_errors(setting: str, tau: float, x: np.ndarray, rng) -> np.ndarray:
     """Draw e and recentre to e(tau) = e - F^-1(tau) (conditional for E)."""
     n = len(x)
     if setting == "A":
-        return rng.standard_normal(n) - norm.ppf(tau)
+        return rng.standard_normal(n) - ndtri(tau)
     if setting == "B":
         wide = rng.random(n) < 0.4
         eps = rng.standard_normal(n) * np.where(wide, 1.5, 1.0)
         return eps - _mixture_quantile(tau)
     if setting == "C":
-        return 0.7 * rng.standard_t(3, n) - 0.7 * student_t.ppf(tau, 3)
+        return 0.7 * rng.standard_t(3, n) - 0.7 * stdtrit(3, tau)
     if setting == "D":
         return rng.uniform(-1.5, 1.5, n) - (-1.5 + 3.0 * tau)
     if setting == "E":
         sd = 0.5 * (1.0 + np.abs(x))
-        return sd * rng.standard_normal(n) - sd * norm.ppf(tau)
+        return sd * rng.standard_normal(n) - sd * ndtri(tau)
     raise InputError(f"unknown setting {setting!r}")
 
 
@@ -140,14 +139,19 @@ _Z_TO_REPORT = np.array([0, 2, 1])
 
 def _run_replication(spec: SimulationSpec, idx: int, fitters=None):
     """Fit every estimator of spec to replication idx; `fitters` maps a name
-    to a stand-in `f(gd, spec) -> QuantileFit` (tests pass fakes)."""
+    to a stand-in `f(gd, spec) -> QuantileFit` (tests pass fakes).
+
+    A fit that fails on its draw, numerically or on an input the draw made
+    degenerate (a constant probit response, collapsed knot quantiles),
+    returns the replication as an error with its cause instead of raising.
+    """
     gd = generate(spec, idx)
     out = {}
     for name in spec.estimators:
         try:
             qf = (fitters[name](gd, spec) if fitters else
                   est.fit(gd.data, spec.tau, name))
-        except (NumericalError, np.linalg.LinAlgError) as exc:
+        except (InputError, NumericalError, np.linalg.LinAlgError) as exc:
             return {"index": idx, "error": f"{name}: {exc}"}
         out[name] = {
             "theta": qf.theta[_Z_TO_REPORT],

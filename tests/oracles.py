@@ -8,8 +8,9 @@ calls the code paths under test.
 import itertools
 
 import numpy as np
+from scipy.interpolate import BSpline
 from scipy.optimize import linprog
-from scipy.stats import norm
+from scipy.stats import norm, t as student_t
 
 
 def check_loss_direct(u, tau):
@@ -97,6 +98,57 @@ def enumerate_qp(Q, q, A, b):
 def probit_loglik(gamma, d, X):
     s = X @ gamma
     return float(np.where(d == 1, norm.logcdf(s), norm.logsf(s)).sum())
+
+
+def probit_parts_reference(gamma, d, X):
+    """Mean log-likelihood, gradient and Hessian of the probit, written on
+    scipy.stats.norm's logpdf, logcdf and logsf."""
+    s = X @ gamma
+    r1 = np.exp(norm.logpdf(s) - norm.logcdf(s))
+    r0 = np.exp(norm.logpdf(s) - norm.logsf(s))
+    sel = d == 1
+    ll = np.where(sel, norm.logcdf(s), norm.logsf(s)).mean()
+    score = np.where(sel, r1, -r0)
+    curv = np.where(sel, -s * r1 - r1**2, s * r0 - r0**2)
+    grad = X.T @ score / len(d)
+    hess = (X * curv[:, None]).T @ X / len(d)
+    return ll, grad, hess, s
+
+
+def errors_reference(setting, tau, x, rng):
+    """simlab's recentred error draws, with quantiles from scipy.stats."""
+    n = len(x)
+    if setting == "A":
+        return rng.standard_normal(n) - norm.ppf(tau)
+    if setting == "B":
+        wide = rng.random(n) < 0.4
+        eps = rng.standard_normal(n) * np.where(wide, 1.5, 1.0)
+        return eps - mixture_quantile_reference(tau)
+    if setting == "C":
+        return 0.7 * rng.standard_t(3, n) - 0.7 * student_t.ppf(tau, 3)
+    if setting == "D":
+        return rng.uniform(-1.5, 1.5, n) - (-1.5 + 3.0 * tau)
+    sd = 0.5 * (1.0 + np.abs(x))
+    return sd * rng.standard_normal(n) - sd * norm.ppf(tau)
+
+
+def mixture_quantile_reference(tau):
+    """tau-quantile of 0.4 N(0, 1.5^2) + 0.6 N(0, 1) by bisection on
+    scipy.stats.norm.cdf, to 1e-10."""
+    lo, hi = -20.0, 20.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if 0.4 * norm.cdf(mid / 1.5) + 0.6 * norm.cdf(mid) < tau:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def design_matrix_reference(kv, x):
+    """Clamped B-spline basis of a KnotVector from scipy's own evaluator."""
+    pts = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), kv.lo, kv.hi)
+    return BSpline.design_matrix(pts, kv.full_knots(), kv.degree).toarray()
 
 
 def probit_grid_max(d, X, lo=-5.0, hi=5.0):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
-from selqr import NumericalError, activeset
+from selqr import NumericalError
 from selqr.activeset import kkt_residuals, solve_qp
 from oracles import enumerate_qp
 
@@ -73,7 +74,7 @@ class TestSolveQP:
     def test_nnls_iteration_limit_is_numerical_error(self, monkeypatch):
         def exhausted(*args, **kwargs):
             raise RuntimeError("Maximum number of iterations reached.")
-        monkeypatch.setattr(activeset, "nnls", exhausted)
+        monkeypatch.setattr(scipy.optimize, "nnls", exhausted)
         A = np.array([[1.0, 0.0]])
         with pytest.raises(NumericalError, match="iteration limit") as err:
             solve_qp(np.eye(2), np.zeros(2), A, np.array([1.0]))

@@ -7,7 +7,7 @@ import selqr.baselines
 from selqr import (InputError, NumericalError, QuantileProblem, SimulationSpec, fit_mar,
                    fit_uncorrected, generate, probit_fit, solve)
 from selqr.baselines import _probit_parts, mar_weights
-from oracles import probit_grid_max, probit_loglik
+from oracles import probit_grid_max, probit_loglik, probit_parts_reference
 
 
 class TestProbit:
@@ -32,6 +32,18 @@ class TestProbit:
         ll_grid, _ = probit_grid_max(d, X)
         ll_fit = probit_loglik(fit.gamma, d, X)
         assert ll_fit >= ll_grid - 1e-4
+
+    def test_parts_match_scipy_stats_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        n = 400
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        d = (rng.random(n) < 0.6).astype(float)
+        # up to |s| near the separation bound, where the log tails matter
+        for scale in (0.0, 0.3, 2.0, 8.0):
+            gamma = scale * rng.standard_normal(3)
+            for got, want in zip(_probit_parts(gamma, d, X),
+                                 probit_parts_reference(gamma, d, X)):
+                assert np.array_equal(got, want)
 
     def test_gradient_and_hessian_at_solution(self):
         rng = np.random.default_rng(13)

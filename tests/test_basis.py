@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from selqr import (InputError, KnotVector, build_designs, default_plan,
                    eval_basis, make_knots)
 from conftest import toy_data
+from oracles import design_matrix_reference
 
 
 class TestMakeKnots:
@@ -62,6 +63,28 @@ class TestEvalBasis:
         kv = make_knots(np.linspace(0, 1, 500), n_interior=6, degree=3)
         vals = eval_basis(kv, np.linspace(0, 1, 101))
         assert ((vals > 0).sum(axis=1) <= kv.degree + 1).all()
+
+    def test_bit_identical_to_scipy_design_matrix(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            degree, n_interior = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+            lo = float(rng.normal(scale=3.0))
+            hi = lo + float(rng.uniform(0.01, 10.0))
+            interior = np.unique(rng.uniform(lo, hi, n_interior))
+            kv = KnotVector(degree=degree, lo=lo, hi=hi, interior=tuple(interior))
+            # on and next to every knot, inside, and clamped from outside
+            xs = np.concatenate([
+                rng.uniform(lo - 1.0, hi + 1.0, 40), [lo, hi, -np.inf, np.inf],
+                interior, np.nextafter(interior, lo), np.nextafter(interior, hi),
+                [np.nextafter(lo, hi), np.nextafter(hi, lo)]])
+            assert np.array_equal(eval_basis(kv, xs), design_matrix_reference(kv, xs))
+            assert np.array_equal(eval_basis(kv, xs[0]),
+                                  design_matrix_reference(kv, xs[0])[0])
+
+    def test_nan_point_is_an_input_error(self):
+        kv = KnotVector(degree=2, lo=0.0, hi=1.0)
+        with pytest.raises(InputError, match="NaN"):
+            eval_basis(kv, [0.5, np.nan])
 
 
 class TestBuildDesigns:

@@ -59,6 +59,7 @@ def test_demo_runs(path, tmp_path):
     proc = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("selqr_demo_*")), "demo left its directory behind"
 
 
 def test_public_names_resolve_once():

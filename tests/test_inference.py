@@ -269,6 +269,12 @@ class TestConfidenceIntervals:
         ci = confidence_intervals([0.0], [[100.0]], n=100, level=0.95)
         assert_allclose(ci[0, 1], norm.ppf(0.975), atol=1e-12)
 
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_z_is_scipy_stats_norm_ppf_bit_for_bit(self, level):
+        from scipy.stats import norm
+        ci = confidence_intervals([0.0], [[100.0]], n=100, level=level)
+        assert ci[0, 1] == norm.ppf(1.0 - (1.0 - level) / 2.0)
+
     def test_wider_level_contains_narrower(self):
         ci95 = confidence_intervals([1.0], [[4.0]], n=50, level=0.95)
         ci99 = confidence_intervals([1.0], [[4.0]], n=50, level=0.99)

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from selqr import (InputError, NumericalError, SimulationSpec, generate, run,
                    simlab)
 from selqr.estimator import QuantileFit
-from selqr.simlab import _mixture_quantile
+from selqr.simlab import _draw_errors, _mixture_quantile
+from oracles import errors_reference, mixture_quantile_reference
 
 
 class TestGenerate:
@@ -29,6 +30,15 @@ class TestGenerate:
             gd = generate(spec, 0)
             resid = gd.y_star - (1.0 + gd.data.w[:, 0] + 2.0 * gd.data.x[:, 0])
             assert abs(np.median(resid)) < 0.02
+
+    @pytest.mark.parametrize("tau", [0.05, 0.25, 0.5, 0.75, 0.9])
+    def test_recentring_matches_scipy_stats_bit_for_bit(self, tau):
+        assert _mixture_quantile(tau) == mixture_quantile_reference(tau)
+        x = np.random.default_rng(4).standard_normal(300)
+        for setting in "ABCDE":
+            got = _draw_errors(setting, tau, x, np.random.default_rng(9))
+            want = errors_reference(setting, tau, x, np.random.default_rng(9))
+            assert np.array_equal(got, want), setting
 
     def test_quantile_recentering_off_median(self):
         spec = SimulationSpec("B", "M1", n=400000, reps=1, tau=0.25, seed=3)
@@ -164,6 +174,20 @@ class TestRun:
                               estimators=("uncorrected",))
         with pytest.raises(NumericalError, match="replications failed"):
             run(spec, fitters=fitters)
+
+    def test_input_error_excludes_only_its_replication(self):
+        # a draw can make an input degenerate; the run goes on without it
+        good = _stub_fitters(lambda g: g.theta_true.copy())["uncorrected"]
+        bad_y = generate(SimulationSpec("C", "M2", n=50, reps=60, seed=2), 7).y_star
+        def degenerate_on_7(gd, spec):
+            if np.array_equal(gd.y_star, bad_y):
+                raise InputError("probit response is constant")
+            return good(gd, spec)
+        spec = SimulationSpec("C", "M2", n=50, reps=60, seed=2,
+                              estimators=("uncorrected",))
+        table = run(spec, fitters={"uncorrected": degenerate_on_7})
+        assert table.excluded == ((7, "uncorrected: probit response is constant"),)
+        assert len(table.replications["uncorrected"]["theta"]) == 59
 
     def test_single_failure_recorded(self):
         calls = {"n": 0}
