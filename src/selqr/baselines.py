@@ -13,6 +13,7 @@ from .errors import InputError, NumericalError
 PROBIT_GRAD_TOL = 1e-8
 PROBIT_MAX_ITER = 200
 SEPARATION_BOUND = 30.0
+TRIM_FLOOR = 0.01    # MAR probabilities are clamped below here before inverting
 _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))   # scipy.stats' _norm_pdf_logC
 
 
@@ -88,16 +89,13 @@ def probit_fit(d: np.ndarray, X: np.ndarray) -> ProbitFit:
         f"{gamma}, gradient norm {np.abs(grad).max():.3e}")
 
 
-def mar_weights(data: ObservationSet, trim_floor: float = 0.01):
+def mar_weights(data: ObservationSet):
     """Inverse probit probabilities under selection-on-observables.
 
-    Fitted probabilities are clamped below at trim_floor, which must lie
-    in [0, 1).
+    Fitted probabilities are clamped below at TRIM_FLOOR.
     """
-    if not 0.0 <= trim_floor < 1.0:
-        raise InputError(f"trim floor must lie in [0, 1), got {trim_floor!r}")
     Xd = np.column_stack([np.ones(data.n), data.x])
     pf = probit_fit(data.d, Xd)
-    p = np.maximum(pf.probabilities(Xd), trim_floor)
+    p = np.maximum(pf.probabilities(Xd), TRIM_FLOOR)
     return data.d / p, pf
 

@@ -18,6 +18,8 @@ import numpy as np
 from .data import ObservationSet
 from .errors import InputError
 
+SPLINE_DEGREE = 2   # both first-stage splines are quadratic
+
 
 @dataclass(frozen=True)
 class KnotVector:
@@ -166,12 +168,13 @@ def build_designs(data: ObservationSet, plan: BasisPlan) -> DesignMatrices:
 
 
 def default_plan(data: ObservationSet,
-                 y_degree: int = 2, y_interior: int = 0,
-                 w_degree: int = 2, w_interior: int = 2) -> BasisPlan:
-    """Knots over the selected outcomes and the first instrument column.
+                 y_interior: int = 0, w_interior: int = 2) -> BasisPlan:
+    """Knots of degree SPLINE_DEGREE over the selected outcomes and the
+    first instrument column.
 
     With one covariate, one instrument and the defaults this gives J = 4
     and K = 6.
     """
-    return BasisPlan(y_knots=make_knots(data.y[data.selected], y_interior, y_degree),
-                     w_knots=make_knots(data.w[:, 0], w_interior, w_degree))
+    return BasisPlan(
+        y_knots=make_knots(data.y[data.selected], y_interior, SPLINE_DEGREE),
+        w_knots=make_knots(data.w[:, 0], w_interior, SPLINE_DEGREE))

@@ -24,12 +24,9 @@ from .errors import InputError, NumericalError
 @dataclass(frozen=True)
 class RunConfig:
     taus: tuple[float, ...] = (0.5,)
-    y_degree: int = 2
     y_interior_knots: int = 0
-    w_degree: int = 2
     w_interior_knots: int = 2
     bandwidth_mode: str = "rot"
-    trim_floor: float = 0.01
     estimators: tuple[str, ...] = ("semiparametric_iv",)
 
     def __post_init__(self):
@@ -37,8 +34,6 @@ class RunConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not all(0.0 < t < 1.0 for t in self.taus):
             raise InputError("every tau must lie strictly inside (0, 1)")
-        if not 0.0 <= self.trim_floor < 1.0:
-            raise InputError(f"trim floor must lie in [0, 1), got {self.trim_floor!r}")
         if min(self.y_interior_knots, self.w_interior_knots) < 0:
             raise InputError("interior knot counts must be >= 0")
         if self.bandwidth_mode not in ("rot", "cv"):
@@ -61,7 +56,12 @@ def parse_column_map(text: str) -> ColumnMap:
         if "=" not in chunk:
             raise InputError(f"bad column map chunk {chunk!r}; expected key=value")
         key, val = chunk.split("=", 1)
-        parts[key.strip()] = tuple(v.strip() for v in val.split("+") if v.strip())
+        key = key.strip()
+        if key not in ("d", "y", "w", "x"):
+            raise InputError(f"unknown column map key {key!r}; expected d, y, w or x")
+        if key in parts:
+            raise InputError(f"column map repeats '{key}='")
+        parts[key] = tuple(v.strip() for v in val.split("+") if v.strip())
     for key in ("d", "y", "w"):
         if key not in parts or not parts[key]:
             raise InputError(f"column map is missing '{key}='")
@@ -73,12 +73,11 @@ def parse_column_map(text: str) -> ColumnMap:
 
 def cmd_fit(config: RunConfig, data) -> dict:
     """Run the requested estimators at every tau; return the report dict."""
-    keywords = {"mar": {"trim_floor": config.trim_floor}}
+    keywords = {}
     if "semiparametric_iv" in config.estimators:
         # only then, so a knot error cannot fail a run that does not use it
         keywords["semiparametric_iv"] = {"plan": default_plan(
-            data, config.y_degree, config.y_interior_knots,
-            config.w_degree, config.w_interior_knots)}
+            data, config.y_interior_knots, config.w_interior_knots)}
     # each estimator fits every level at once; the report keeps tau outer
     fits = {name: estimator.fit(data, config.taus, name,
                                 bandwidth_mode=config.bandwidth_mode,
@@ -125,7 +124,7 @@ def _write_cdf_csv(rows, stream):
 
 def _add_basis_flags(p):
     # every default is RunConfig's, so it is stated once
-    for name in ("y_degree", "y_interior_knots", "w_degree", "w_interior_knots"):
+    for name in ("y_interior_knots", "w_interior_knots"):
         p.add_argument("--" + name.replace("_", "-"), type=int,
                        default=getattr(RunConfig, name))
 
@@ -149,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_basis_flags(p_fit)
     p_fit.add_argument("--bandwidth-mode", choices=("rot", "cv"),
                        default=RunConfig.bandwidth_mode)
-    p_fit.add_argument("--trim-floor", type=float, default=RunConfig.trim_floor)
     p_fit.add_argument("--out", help="report JSON path (default: stdout)")
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo harness")
@@ -180,10 +178,9 @@ def _run(args) -> int:
             raise InputError(f"--tau takes comma-separated numbers, "
                              f"got {args.tau!r}") from None
         config = RunConfig(
-            taus=taus,
-            y_degree=args.y_degree, y_interior_knots=args.y_interior_knots,
-            w_degree=args.w_degree, w_interior_knots=args.w_interior_knots,
-            bandwidth_mode=args.bandwidth_mode, trim_floor=args.trim_floor,
+            taus=taus, y_interior_knots=args.y_interior_knots,
+            w_interior_knots=args.w_interior_knots,
+            bandwidth_mode=args.bandwidth_mode,
             estimators=tuple(e.strip() for e in args.estimators.split(",")))
         data = ingest_csv(args.data, parse_column_map(args.map))
         report = cmd_fit(config, data)
@@ -210,8 +207,7 @@ def _run(args) -> int:
     if args.command == "cdf":
         data = ingest_csv(args.data, parse_column_map(args.map))
         rows = cmd_cdf(data, default_plan(
-            data, args.y_degree, args.y_interior_knots,
-            args.w_degree, args.w_interior_knots))
+            data, args.y_interior_knots, args.w_interior_knots))
         if args.out:
             with open(args.out, "w", newline="") as fh:
                 _write_cdf_csv(rows, fh)

@@ -111,29 +111,6 @@ class ColumnMap:
             raise InputError("column map needs at least one instrument column")
 
 
-def _row_error(row, n_fields, need, di, yi, numeric, y_name) -> str | None:
-    """The first check a row fails, without its line; None if it passes.
-
-    The checks run in order: field count, d, a missing y, y, then each w
-    and x column.
-    """
-    if len(row) < need:
-        return f"row has {len(row)} of {n_fields} fields"
-    draw = row[di].strip()
-    if draw not in _BINARY:
-        return f"non-binary selection indicator {draw!r}"
-    yraw = row[yi].strip()
-    if draw == "1" and yraw == "":
-        return "observed row missing outcome"
-    cells = [(y_name, yraw)] if yraw else []
-    for col, raw in cells + [(c, row[i]) for c, i in numeric]:
-        try:
-            float(raw)
-        except ValueError:
-            return f"column '{col}' not parseable as a number"
-    return None
-
-
 def _file_line(path, row_number: int) -> int:
     """Line of the file on which its row_number-th data row ends.
 
@@ -148,28 +125,39 @@ def _file_line(path, row_number: int) -> int:
         return reader.line_num
 
 
-def _float_column(cells) -> np.ndarray:
-    return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+def _float_column(cells, name) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        raise InputError(f"column '{name}' not parseable as a number") from None
 
 
-def _convert_chunk(rows, need, di, yi, numeric):
-    """(d, y, w and x columns) of one chunk; ValueError if any check fails."""
+def _convert_chunk(rows, header, need, di, yi, numeric):
+    """(d, y, w and x columns) of one chunk.
+
+    Raises InputError, without a line, for the first check the chunk fails,
+    in the order field count, d, y (missing or unparseable), then each w
+    and x column. Every check reads one row's cells, so on a one-row chunk
+    the error is that row's first.
+    """
     if min(map(len, rows)) < need:
-        raise ValueError("short row")
+        short = next(len(r) for r in rows if len(r) < need)
+        raise InputError(f"row has {short} of {len(header)} fields")
     cols = list(zip(*rows))
     dcol = cols[di]
     if not set(dcol) <= _BINARY:
         dcol = [v.strip() for v in dcol]
         if not set(dcol) <= _BINARY:
-            raise ValueError("non-binary d")
+            bad = next(v for v in dcol if v not in _BINARY)
+            raise InputError(f"non-binary selection indicator {bad!r}")
     # every cell is now exactly "0" or "1": one ASCII byte each
     d = np.frombuffer("".join(dcol).encode("ascii"), dtype=np.uint8) - ord("0")
     ycol = cols[yi]
-    y = _float_column([v.strip() or "nan" for v in ycol])
+    y = _float_column([v.strip() or "nan" for v in ycol], header[yi])
     nan_sel = np.flatnonzero(np.isnan(y) & (d == 1))
     if any(not ycol[i].strip() for i in nan_sel):
-        raise ValueError("missing y on a selected row")
-    return d, y, np.column_stack([_float_column(cols[i]) for _, i in numeric])
+        raise InputError("observed row missing outcome")
+    return d, y, np.column_stack([_float_column(cols[i], c) for c, i in numeric])
 
 
 def ingest_csv(path, colmap: ColumnMap) -> ObservationSet:
@@ -208,16 +196,17 @@ def ingest_csv(path, colmap: ColumnMap) -> ObservationSet:
         chunks, n_read = [], 0
         while rows := list(itertools.islice(rows_in, INGEST_CHUNK_ROWS)):
             try:
-                chunks.append(_convert_chunk(rows, need, di, yi, numeric))
-            except ValueError:
+                chunks.append(_convert_chunk(rows, header, need, di, yi, numeric))
+            except InputError:
                 # earlier chunks passed every check: the first row that fails
-                # here is the first error in the file
+                # here alone holds the first error in the file
                 for k, row in enumerate(rows, start=n_read + 1):
-                    error = _row_error(row, len(header), need, di, yi, numeric,
-                                       colmap.y_column)
-                    if error:
-                        raise InputError(f"{error} at line {_file_line(path, k)}")
-                raise   # only if the scan and the bulk checks disagree
+                    try:
+                        _convert_chunk([row], header, need, di, yi, numeric)
+                    except InputError as exc:
+                        line = _file_line(path, k)
+                        raise InputError(f"{exc} at line {line}") from None
+                raise   # not reached: a chunk fails only where one row does
             n_read += len(rows)
     if not chunks:
         raise InputError(f"{path}: no data rows")

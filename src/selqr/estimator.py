@@ -111,15 +111,15 @@ def fit_uncorrected(data: ObservationSet, tau: float | Sequence[float],
 
 
 def fit_mar(data: ObservationSet, tau: float | Sequence[float],
-            trim_floor: float = 0.01, bandwidth_mode: str = "rot"
-            ) -> QuantileFit | list[QuantileFit]:
+            bandwidth_mode: str = "rot") -> QuantileFit | list[QuantileFit]:
     """Probit-IPW QR under selection-on-observables, weights treated as known.
 
-    Fitted selection probabilities are clamped below at trim_floor before
-    inverting. One probit serves every level in tau.
+    Fitted selection probabilities are clamped below at
+    baselines.TRIM_FLOOR before inverting. One probit serves every level
+    in tau.
     """
-    omega, probit = baselines.mar_weights(data, trim_floor)
-    diagnostics = {"probit_iterations": probit.iterations, "trim_floor": trim_floor}
+    omega, probit = baselines.mar_weights(data)
+    diagnostics = {"probit_iterations": probit.iterations}
     return _weighted_fit(data, tau, "mar", omega, bandwidth_mode, diagnostics)
 
 
@@ -134,8 +134,8 @@ def fit(data: ObservationSet, tau: float | Sequence[float],
     Each fit's `ci` is at CI_LEVEL (95 %); another level is
     `inference.confidence_intervals(fit.theta, fit.sigma, data.n, level)`.
 
-    Every estimator takes `bandwidth_mode`. Extra keywords: `plan` for
-    semiparametric_iv, `trim_floor` for mar, none for uncorrected.
+    Every estimator takes `bandwidth_mode`. The only other keyword is
+    `plan`, for semiparametric_iv.
     """
     # the providers are looked up at call time, so rebinding a module
     # attribute (as a tracer does) reaches every caller

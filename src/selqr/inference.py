@@ -30,6 +30,8 @@ from .qr import QuantileSolution, quantile_score
 DENSITY_FLOOR = 1e-12
 CONSTANT_DIM_TOL = 1e-8
 BLOCK_ROWS = 64          # rows per kernel block: two 64 x 1000 blocks are 1 MB
+CV_MULTIPLIERS = np.linspace(0.3, 2.0, 12)   # LSCV grid of rule-of-thumb scales
+CV_MAX_ROWS = 2000       # LSCV subsamples larger kernel data to this many rows
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
 
@@ -62,12 +64,12 @@ def _gauss(u: np.ndarray, h, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def cv_bandwidths(V: np.ndarray, multipliers=None, max_rows: int = 2000) -> np.ndarray:
+def cv_bandwidths(V: np.ndarray) -> np.ndarray:
     """Least-squares cross-validation refinement of the rule-of-thumb.
 
-    Scales all rule-of-thumb bandwidths h0 by a common factor c chosen to
-    minimize the LSCV criterion of the joint product-Gaussian density on a
-    (deterministically subsampled) grid of rows.
+    Scales all rule-of-thumb bandwidths h0 by the factor c in CV_MULTIPLIERS
+    that minimizes the LSCV criterion of the joint product-Gaussian density
+    on at most CV_MAX_ROWS rows, an evenly spaced subsample of V if longer.
 
     With S_ij = sum_d ((v_id - v_jd) / h0_d)^2, the product kernels at
     bandwidths c h0 and sqrt(2) c h0 are k1_ij = a1 exp(-S_ij / (2 c^2))
@@ -77,19 +79,17 @@ def cv_bandwidths(V: np.ndarray, multipliers=None, max_rows: int = 2000) -> np.n
     and the k1 sum as a1 sum(e^2), and the leave-one-out diagonal of k1 is
     m a1. The constants are applied to the sums, not to each pair.
 
-    The sums over all m x m row pairs (m <= max_rows after subsampling) are
-    streamed over blocks of BLOCK_ROWS rows: working memory is
-    2 * BLOCK_ROWS * m floats (2 MB at m = 2000), not O(m^2 d).
+    The sums over all m x m row pairs are streamed over blocks of
+    BLOCK_ROWS rows: working memory is 2 * BLOCK_ROWS * m floats (2 MB at
+    m = 2000), not O(m^2 d).
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     h0 = default_bandwidths(V)
-    if multipliers is None:
-        multipliers = np.linspace(0.3, 2.0, 12)
-    if len(V) > max_rows:
-        idx = np.unique(np.linspace(0, len(V) - 1, max_rows).round().astype(int))
+    if len(V) > CV_MAX_ROWS:
+        idx = np.unique(np.linspace(0, len(V) - 1, CV_MAX_ROWS).round().astype(int))
         V = V[idx]
     m, n_dims = V.shape
-    sum_e, sum_e_sq = np.zeros(len(multipliers)), np.zeros(len(multipliers))
+    sum_e, sum_e_sq = np.zeros((2, len(CV_MULTIPLIERS)))
     rows = min(BLOCK_ROWS, m)
     s_buf, e_buf = np.empty((rows, m)), np.empty((rows, m))
     for lo in range(0, m, BLOCK_ROWS):
@@ -102,14 +102,14 @@ def cv_bandwidths(V: np.ndarray, multipliers=None, max_rows: int = 2000) -> np.n
             np.square(diff, out=diff)
             if d:
                 s += diff
-        for i, c in enumerate(multipliers):
+        for i, c in enumerate(CV_MULTIPLIERS):
             np.multiply(s, -0.25 / c**2, out=e)
             np.exp(e, out=e)
             sum_e[i] += e.sum()
             np.square(e, out=e)
             sum_e_sq[i] += e.sum()
     best, best_score = 1.0, np.inf
-    for c, e_total, e_sq_total in zip(multipliers, sum_e, sum_e_sq):
+    for c, e_total, e_sq_total in zip(CV_MULTIPLIERS, sum_e, sum_e_sq):
         a1 = (2 * np.pi) ** (-n_dims / 2) / (c**n_dims * np.prod(h0))
         int_f2 = a1 / 2 ** (n_dims / 2) * e_total / m**2
         loo = a1 * (e_sq_total - m) / (m * (m - 1))

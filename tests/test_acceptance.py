@@ -165,7 +165,7 @@ def test_criterion_7_exactly_identified_moment_residual():
     for seed in range(5):
         data = toy_data(n=800, seed=seed)
         # K = J = 4: quadratic splines without interior knots, linear x
-        fit = estimate_unconstrained(data, selqr.default_plan(data, 2, 0, 2, 0))
+        fit = estimate_unconstrained(data, selqr.default_plan(data, 0, 0))
         worst = max(worst, float(np.abs(selqr.moment_residual(fit)).max()))
     _announce(7, worst < 1e-8,
               f"exactly identified first stage drives the moment residual to "

@@ -114,4 +114,4 @@ class TestBuildDesigns:
         data = toy_data()
         # J = 7 + 1 outcome columns against K = 3 + 1 instrument columns
         with pytest.raises(InputError, match="at least as many columns"):
-            build_designs(data, default_plan(data, 2, 4, 2, 0))
+            build_designs(data, default_plan(data, 4, 0))

@@ -64,6 +64,19 @@ class TestIngest:
         with pytest.raises(InputError):
             parse_column_map("d=a,y=b,w=b")   # overlapping roles
 
+    @pytest.mark.parametrize("text, message", [
+        ("d=d,y=y,w=w0,X=x0", "unknown column map key 'X'"),
+        ("d=d,y=y,w=w0,x=x0,x=x1", "column map repeats 'x='"),
+        ("d=d,y=y,w=w0,w=w1", "column map repeats 'w='"),
+    ])
+    def test_column_map_rejects_unknown_and_repeated_keys(
+            self, tmp_path, capsys, text, message):
+        with pytest.raises(InputError, match=message):
+            parse_column_map(text)
+        p, _ = _sim_csv(tmp_path, n=200)
+        assert main(["fit", "--data", str(p), "--map", text]) == 2
+        assert message in capsys.readouterr().err
+
 
 def _sim_csv(tmp_path, n=800, mechanism="M2", seed=0):
     gd = generate(SimulationSpec("C", mechanism, n=n, reps=1, seed=seed), 0)
@@ -97,11 +110,11 @@ class TestFitCommand:
 
     def test_default_config_hash_is_pinned(self, tmp_path, capsys):
         # moving a default of RunConfig or of its flags changes this hash
-        assert RunConfig().hash() == "a97ccecdb3033122"
+        assert RunConfig().hash() == "1b3b94c62dfee64e"
         p, _ = _sim_csv(tmp_path, n=400)
         assert main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["config_hash"] == "a97ccecdb3033122"
+        assert report["config_hash"] == "1b3b94c62dfee64e"
 
     def test_fit_recovers_truth_on_large_sample(self, tmp_path):
         p, gd = _sim_csv(tmp_path, n=5000)
@@ -117,20 +130,20 @@ class TestFitCommand:
         out = tmp_path / "r.json"
         assert main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
                      "--y-interior-knots", "1", "--w-interior-knots", "3",
-                     "--trim-floor", "0.05", "--estimators",
+                     "--estimators",
                      "mar,semiparametric_iv", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         data = ingest_csv(p, ColumnMap("d", "y", ("w0",), ("x0",)))
         iv = fit_semiparametric_iv(data, 0.5, plan=default_plan(
             data, y_interior=1, w_interior=3))
-        want = {"mar": fit_mar(data, 0.5, trim_floor=0.05),
+        want = {"mar": fit_mar(data, 0.5),
                 "semiparametric_iv": iv}
         assert [e["estimator"] for e in report["estimates"]] == list(want)
         for e in report["estimates"]:
             qf = want[e["estimator"]]
             assert e["theta"] == qf.theta.tolist()
             assert e["sigma"] == qf.sigma.tolist()
-        assert report["estimates"][0]["diagnostics"]["trim_floor"] == 0.05
+            assert e["diagnostics"] == qf.diagnostics
         # the knots move the estimate, so a dropped plan would show
         assert iv.theta.tolist() != fit_semiparametric_iv(data, 0.5).theta.tolist()
 
@@ -162,15 +175,6 @@ class TestFitCommand:
         assert main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
                      "--tau", taus]) == 2
         assert "input error: --tau takes comma-separated numbers" in \
-            capsys.readouterr().err
-
-    @pytest.mark.parametrize("trim_floor", ["-1", "1.5", "1", "nan"])
-    def test_trim_floor_outside_unit_interval_is_an_input_error(
-            self, tmp_path, capsys, trim_floor):
-        p, _ = _sim_csv(tmp_path, n=200)
-        assert main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
-                     "--estimators", "mar", f"--trim-floor={trim_floor}"]) == 2
-        assert "input error: trim floor must lie in [0, 1)" in \
             capsys.readouterr().err
 
     def test_fit_runs_without_the_cone_projection(self, tmp_path, monkeypatch):
@@ -213,6 +217,11 @@ class TestFitCommand:
         ["cdf", "--seed", "1"],
         ["cdf", "--bandwidth-mode", "cv"],
         ["cdf", "--trim-floor", "0.05"],
+        ["fit", "--trim-floor", "0.05"],
+        ["fit", "--y-degree", "3"],
+        ["fit", "--w-degree", "3"],
+        ["cdf", "--y-degree", "3"],
+        ["cdf", "--w-degree", "3"],
     ])
     def test_removed_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -256,17 +265,20 @@ def test_fewer_instrument_than_outcome_columns_is_an_input_error(
     assert "at least as many columns" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, config, renamed", [
-    ("fit", RunConfig, {"taus": "tau"}),
-    ("simulate", SimulationSpec, {}),
+@pytest.mark.parametrize("command, config, renamed, unrecorded", [
+    ("fit", RunConfig, {"taus": "tau"}, {"data", "map", "out"}),
+    ("simulate", SimulationSpec, {}, {"jobs", "out"}),
 ], ids=["fit", "simulate"])
-def test_every_config_field_has_one_flag(command, config, renamed):
+def test_every_config_field_has_one_flag(command, config, renamed, unrecorded):
     # a field that no flag sets is a knob nothing outside the library reads
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction)).choices[command]
     dests = [a.dest for a in sub._actions]
-    for f in dataclasses.fields(config):
-        assert dests.count(renamed.get(f.name, f.name)) == 1, f.name
+    fields = [renamed.get(f.name, f.name) for f in dataclasses.fields(config)]
+    for name in fields:
+        assert dests.count(name) == 1, name
+    # and every other flag is one field, so the report's config records it
+    assert sorted(set(dests) - unrecorded - {"help"}) == sorted(fields)
 
 
 class TestSimulateCommand:

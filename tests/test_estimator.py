@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from selqr import (InputError, ObservationSet, baselines, first_stage, fit,
-                   fit_semiparametric_iv, inference)
-from selqr.estimator import CI_LEVEL
+from selqr import (InputError, NumericalError, ObservationSet, SimulationSpec,
+                   baselines, first_stage, fit, fit_semiparametric_iv, generate,
+                   inference)
+from selqr.estimator import CI_LEVEL, ESTIMATOR_NAMES
 from conftest import toy_data
 
 
@@ -15,6 +16,55 @@ def mnar_sample(rng, n, d_x=1, d_w=1):
     p = 1.0 / (1.0 + np.exp(2.0 - 0.5 * ystar))
     d = (rng.random(n) < p).astype(int)
     return ObservationSet(d=d, y=np.where(d == 1, ystar, np.nan), w=w, x=x), ystar
+
+
+def envelope_sample(case):
+    base = toy_data(n=400, seed=3)
+    d, y, w, x = base.d, base.y, base.w, base.x
+    if case == "no_rows_selected":
+        d, y = np.zeros(base.n, dtype=int), np.full(base.n, np.nan)
+    elif case == "all_rows_selected":
+        return toy_data(n=400, seed=3, all_selected=True)
+    elif case == "constant_covariate":
+        x = np.ones_like(x)
+    elif case == "constant_instrument":
+        w = np.ones_like(w)
+    elif case == "tied_outcomes":
+        y = np.round(y)
+    elif case == "ten_covariates":
+        x = np.random.default_rng(0).standard_normal((base.n, 10))
+        y = y + x.sum(axis=1)
+    elif case == "n_at_most_k":
+        return generate(SimulationSpec("C", "M2", n=6, reps=1, seed=5), 0).data
+    return ObservationSet(d=d, y=y, w=w, x=x)
+
+
+# what each estimator gives, in ESTIMATOR_NAMES order
+ENVELOPE = {
+    "no_rows_selected": (InputError, InputError, InputError),
+    "all_rows_selected": ("finite", InputError, "finite"),     # constant probit
+    "constant_covariate": (NumericalError, NumericalError, NumericalError),
+    "constant_instrument": (NumericalError, NumericalError, InputError),
+    "tied_outcomes": ("finite", "finite", "finite"),
+    "ten_covariates": ("finite", "finite", "finite"),
+    "n_at_most_k": ("finite", NumericalError, InputError),     # n = 6 = K
+}
+
+
+@pytest.mark.parametrize("case", list(ENVELOPE))
+@pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+def test_failure_envelope(case, name):
+    # a degenerate sample gives a finite fit or one of the two error types
+    # the CLI maps to exit codes, never another exception
+    want = ENVELOPE[case][ESTIMATOR_NAMES.index(name)]
+    data = envelope_sample(case)
+    if want == "finite":
+        qf = fit(data, 0.5, name)
+        assert np.isfinite(qf.theta).all() and np.isfinite(qf.se).all()
+    else:
+        with pytest.raises((InputError, NumericalError)) as exc:
+            fit(data, 0.5, name)
+        assert type(exc.value) is want
 
 
 class TestFitShapes:

@@ -42,7 +42,7 @@ class TestUnconstrained:
     def test_moment_residual_zero_when_exactly_identified(self):
         data = toy_data(n=600, seed=10)
         # K = J = 4: quadratic w-spline with no interior knots plus linear x
-        fit = estimate_unconstrained(data, default_plan(data, 2, 0, 2, 0))
+        fit = estimate_unconstrained(data, default_plan(data, 0, 0))
         assert np.abs(moment_residual(fit)).max() < 1e-8
 
     def test_overidentified_residual_is_projection_residual(self, data_mnar):

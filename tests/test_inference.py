@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from selqr import (InputError, QuantileProblem, conditional_density,
                    confidence_intervals, covariance, cv_bandwidths,
                    default_bandwidths, solve)
+from selqr import inference
 from selqr.baselines import mar_weights
 from selqr.estimator import fit_semiparametric_iv, fit_uncorrected
 from selqr.inference import BLOCK_ROWS
@@ -124,7 +125,7 @@ class TestKernelExactness:
         for V in inputs:
             assert np.array_equal(cv_bandwidths(V), cv_bandwidths_reference(V))
 
-    def test_cv_bandwidths_match_reference_when_subsampling(self):
+    def test_cv_bandwidths_match_reference_when_subsampling(self, monkeypatch):
         rng = np.random.default_rng(31)
         V = rng.standard_normal((400, 2))
         V[:, 1] += 0.5 * V[:, 0]
@@ -134,18 +135,21 @@ class TestKernelExactness:
             V[::3, 0] = 0.25           # ties within the subsample
             inputs.append(V)
         mult = np.linspace(0.2, 3.0, 15)
+        monkeypatch.setattr(inference, "CV_MULTIPLIERS", mult)
+        monkeypatch.setattr(inference, "CV_MAX_ROWS", 150)
         for V in inputs:
-            assert np.array_equal(cv_bandwidths(V, mult, max_rows=150),
+            assert np.array_equal(cv_bandwidths(V),
                                   cv_bandwidths_reference(V, mult, max_rows=150))
 
-    def test_cv_bandwidths_memory_is_not_quadratic(self):
+    def test_cv_bandwidths_memory_is_not_quadratic(self, monkeypatch):
         # one m x m x d float array at m = 2000, d = 3 is 96 MB; the
         # docstring's bound is 2 * BLOCK_ROWS * m floats
         m, d = 2000, 3
         V = np.random.default_rng(32).standard_normal((m, d))
+        monkeypatch.setattr(inference, "CV_MULTIPLIERS", np.array([1.0]))
         tracemalloc.start()
         try:
-            cv_bandwidths(V, multipliers=[1.0])
+            cv_bandwidths(V)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
