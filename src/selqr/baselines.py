@@ -92,8 +92,11 @@ def probit_fit(d: np.ndarray, X: np.ndarray) -> ProbitFit:
 def mar_weights(data: ObservationSet):
     """Inverse probit probabilities under selection-on-observables.
 
-    Fitted probabilities are clamped below at TRIM_FLOOR.
+    Fitted probabilities are clamped below at TRIM_FLOOR. A fully observed
+    sample gets unit weights and no probit, so the fit is None.
     """
+    if data.d.all():
+        return np.ones(data.n), None
     Xd = np.column_stack([np.ones(data.n), data.x])
     pf = probit_fit(data.d, Xd)
     p = np.maximum(pf.probabilities(Xd), TRIM_FLOOR)

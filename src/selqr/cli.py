@@ -183,6 +183,7 @@ def _run(args) -> int:
             bandwidth_mode=args.bandwidth_mode,
             estimators=tuple(e.strip() for e in args.estimators.split(",")))
         data = ingest_csv(args.data, parse_column_map(args.map))
+        estimator.check_columns(data)
         report = cmd_fit(config, data)
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         if args.out:
@@ -206,6 +207,7 @@ def _run(args) -> int:
 
     if args.command == "cdf":
         data = ingest_csv(args.data, parse_column_map(args.map))
+        estimator.check_columns(data)
         rows = cmd_cdf(data, default_plan(
             data, args.y_interior_knots, args.w_interior_knots))
         if args.out:

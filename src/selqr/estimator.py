@@ -35,6 +35,16 @@ def check_names(names: Sequence[str]) -> None:
         raise InputError(f"repeated estimator(s) {repeated}")
 
 
+def check_columns(data: ObservationSet) -> None:
+    """InputError naming the first constant column of x or w, which no
+    estimator can tell apart from the intercept; every provider calls this
+    before it builds weights, and `selqr fit` and `cdf` before knots."""
+    for prefix, columns in (("x", data.x), ("w", data.w)):
+        constant = np.flatnonzero((columns == columns[0]).all(axis=0))
+        if constant.size:
+            raise InputError(f"column {prefix}{constant[0]} is constant")
+
+
 @dataclass(frozen=True)
 class QuantileFit:
     """One estimator's output at one quantile level."""
@@ -93,6 +103,7 @@ def fit_semiparametric_iv(data: ObservationSet, tau: float | Sequence[float],
     """Inverse-selection-probability weighted QR with first-stage-aware
     covariance: series 2SLS, weights max(g_u, 1), weighted QR, plug-in
     inference. The weights are built once for every level in tau."""
+    check_columns(data)
     fs = first_stage.estimate_unconstrained(data, plan)
     wv = first_stage.weights(fs, data)
     diagnostics = {
@@ -106,6 +117,7 @@ def fit_semiparametric_iv(data: ObservationSet, tau: float | Sequence[float],
 def fit_uncorrected(data: ObservationSet, tau: float | Sequence[float],
                     bandwidth_mode: str = "rot") -> QuantileFit | list[QuantileFit]:
     """Complete-case QR: the weights are the selection dummies."""
+    check_columns(data)
     return _weighted_fit(data, tau, "uncorrected", data.d.astype(float),
                          bandwidth_mode, {})
 
@@ -116,10 +128,12 @@ def fit_mar(data: ObservationSet, tau: float | Sequence[float],
 
     Fitted selection probabilities are clamped below at
     baselines.TRIM_FLOOR before inverting. One probit serves every level
-    in tau.
+    in tau; a fully observed sample needs none (probit_iterations 0) and
+    gives the complete-case fit.
     """
+    check_columns(data)
     omega, probit = baselines.mar_weights(data)
-    diagnostics = {"probit_iterations": probit.iterations}
+    diagnostics = {"probit_iterations": 0 if probit is None else probit.iterations}
     return _weighted_fit(data, tau, "mar", omega, bandwidth_mode, diagnostics)
 
 

@@ -11,6 +11,11 @@ density-weighted design matrix, is estimated by sample analogs:
 with f_i a kernel estimate of the conditional density of the outcome given
 (omega, Z) at the fitted quantile, T = E_n[phi_i D_i Z_i' psi_tau(u_i)] and
 UJ_i = 1 - D_i phi_i' beta_u the first-stage residual.
+
+The density and the LSCV bandwidth search write each product Gaussian
+kernel as a constant times exp(-S), S a squared distance between bandwidth-
+scaled rows formed by one block kernel, `_sq_dist_blocks`. The constants
+multiply row sums, so a row pair costs one exponential per kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ CONSTANT_DIM_TOL = 1e-8
 BLOCK_ROWS = 64          # rows per kernel block: two 64 x 1000 blocks are 1 MB
 CV_MULTIPLIERS = np.linspace(0.3, 2.0, 12)   # LSCV grid of rule-of-thumb scales
 CV_MAX_ROWS = 2000       # LSCV subsamples larger kernel data to this many rows
-_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 def default_bandwidths(V: np.ndarray) -> np.ndarray:
@@ -47,21 +51,25 @@ def default_bandwidths(V: np.ndarray) -> np.ndarray:
     return 1.06 * sd * m ** (-1.0 / (4 + d_total))
 
 
-def _gauss(u: np.ndarray, h, out: np.ndarray) -> np.ndarray:
-    """Scaled Gaussian kernel norm.pdf(u / h) / h, written into out (may be u).
-
-    Evaluates scipy's own expression exp(-x**2/2.0) / sqrt(2*pi) one step
-    at a time in place, so every value is bit-identical to
-    scipy.stats.norm.pdf(u / h) / h: multiplying by -0.5 rounds the same
-    real number as negating and halving.
-    """
-    np.divide(u, h, out=out)
-    np.square(out, out=out)
-    out *= -0.5
-    np.exp(out, out=out)
-    out /= _SQRT_2PI
-    out /= h
-    return out
+def _sq_dist_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (rows, S, work) for each block of BLOCK_ROWS rows of a (m x D):
+    S_ij = sum_d (a_id - b_jd)^2 for the block's rows i and every row j of
+    b (n x D), and a scratch array of S's shape. S and work are views of
+    two BLOCK_ROWS x n buffers that the next block overwrites."""
+    b = np.asfortranarray(b)          # each column of b is read contiguously
+    s_buf, work_buf = np.empty((2, min(BLOCK_ROWS, len(a)), len(b)))
+    for lo in range(0, len(a), BLOCK_ROWS):
+        block = a[lo:lo + BLOCK_ROWS]
+        s, work = s_buf[:len(block)], work_buf[:len(block)]
+        if a.shape[1] == 0:
+            s.fill(0.0)
+        for d in range(a.shape[1]):
+            diff = work if d else s
+            np.subtract(block[:, d, None], b[None, :, d], out=diff)
+            np.square(diff, out=diff)
+            if d:
+                s += diff
+        yield slice(lo, lo + len(block)), s, work
 
 
 def cv_bandwidths(V: np.ndarray) -> np.ndarray:
@@ -71,7 +79,7 @@ def cv_bandwidths(V: np.ndarray) -> np.ndarray:
     that minimizes the LSCV criterion of the joint product-Gaussian density
     on at most CV_MAX_ROWS rows, an evenly spaced subsample of V if longer.
 
-    With S_ij = sum_d ((v_id - v_jd) / h0_d)^2, the product kernels at
+    With u = v / h0 and S_ij = sum_d (u_id - u_jd)^2, the product kernels at
     bandwidths c h0 and sqrt(2) c h0 are k1_ij = a1 exp(-S_ij / (2 c^2))
     and k2_ij = a2 exp(-S_ij / (4 c^2)), with a1 = (2 pi)^(-D/2) /
     (c^D prod h0) and a2 = a1 / 2^(D/2). So each pair and multiplier costs
@@ -88,20 +96,10 @@ def cv_bandwidths(V: np.ndarray) -> np.ndarray:
     if len(V) > CV_MAX_ROWS:
         idx = np.unique(np.linspace(0, len(V) - 1, CV_MAX_ROWS).round().astype(int))
         V = V[idx]
-    m, n_dims = V.shape
+    U = V / h0
+    m, n_dims = U.shape
     sum_e, sum_e_sq = np.zeros((2, len(CV_MULTIPLIERS)))
-    rows = min(BLOCK_ROWS, m)
-    s_buf, e_buf = np.empty((rows, m)), np.empty((rows, m))
-    for lo in range(0, m, BLOCK_ROWS):
-        block = V[lo:lo + BLOCK_ROWS]
-        s, e = s_buf[:len(block)], e_buf[:len(block)]
-        for d in range(n_dims):
-            diff = e if d else s
-            np.subtract(block[:, d, None], V[None, :, d], out=diff)
-            diff /= h0[d]
-            np.square(diff, out=diff)
-            if d:
-                s += diff
+    for _, s, e in _sq_dist_blocks(U, U):
         for i, c in enumerate(CV_MULTIPLIERS):
             np.multiply(s, -0.25 / c**2, out=e)
             np.exp(e, out=e)
@@ -132,11 +130,18 @@ def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths):
     the n_eval rows whose denominator hit the 1e-12 floor, which does not
     depend on y).
 
+    With t = y / (sqrt(2) h0) and u = v / (sqrt(2) h), the kernels of a row
+    pair are c_v exp(-S_ij), S_ij = sum_d (u_id - u_jd)^2, and one
+    c_y exp(-(t_i - t_j)^2) per level, with c_v = (2 pi)^(-D/2) / prod(h)
+    and c_y = 1 / (sqrt(2 pi) h0) applied to the row sums: a pair costs
+    1 + k exponentials, and c_v cancels except in a floored denominator.
+    Values match products of scipy.stats.norm.pdf kernels to about 1e-13
+    relative, with the same floor mask and exact zeros, not bit for bit.
+
     Evaluations run in blocks of BLOCK_ROWS rows through two
     BLOCK_ROWS x n_obs buffers, whatever k is. Each block builds the
-    conditioning kernel and its denominator once, then the outcome kernel
-    of each of the k rows in turn, so every value equals that of a
-    one-dimensional call.
+    conditioning kernel once, then the outcome kernel of each level, so
+    every value equals that of a one-dimensional call at any BLOCK_ROWS.
     """
     y_obs = np.asarray(y_obs, dtype=float)
     y_eval = np.asarray(y_eval, dtype=float)
@@ -155,30 +160,22 @@ def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths):
     out = np.empty(levels.shape)
     floored = np.zeros(n_eval, dtype=bool)
     h0, hv = bandwidths[0], bandwidths[1:]
-    rows = min(BLOCK_ROWS, n_eval)
-    kv_buf = np.empty((rows, len(y_obs)))
-    work_buf = np.empty((rows, len(y_obs)))
-    for lo in range(0, n_eval, BLOCK_ROWS):
-        sl = slice(lo, lo + BLOCK_ROWS)
-        kv = kv_buf[:len(floored[sl])]
-        work = work_buf[:len(kv)]
-        if v_obs.shape[1] == 0:
-            kv.fill(1.0)
-        for d in range(v_obs.shape[1]):
-            # the first dimension's kernel is kv itself (1 * K == K exactly)
-            k = work if d else kv
-            np.subtract(v_eval[sl, d, None], v_obs[None, :, d], out=k)
-            _gauss(k, hv[d], k)
-            if d:
-                kv *= k
+    c_v = (2 * np.pi) ** (-len(hv) / 2) / np.prod(hv)
+    c_y = 1.0 / (np.sqrt(2 * np.pi) * h0)
+    t_obs, t_levels = y_obs / (np.sqrt(2) * h0), levels / (np.sqrt(2) * h0)
+    u_obs, u_eval = v_obs / (np.sqrt(2) * hv), v_eval / (np.sqrt(2) * hv)
+    for sl, kv, work in _sq_dist_blocks(u_eval, u_obs):
+        np.negative(kv, out=kv)
+        np.exp(kv, out=kv)
         den = kv.sum(axis=1)
-        floored[sl] = den < DENSITY_FLOOR
-        den = np.maximum(den, DENSITY_FLOOR)
-        for y_level, out_level in zip(levels, out):
-            np.subtract(y_level[sl, None], y_obs[None, :], out=work)
-            _gauss(work, h0, work)
-            work *= kv
-            out_level[sl] = work.sum(axis=1) / den
+        floored[sl] = c_v * den < DENSITY_FLOOR
+        den[floored[sl]] = DENSITY_FLOOR / c_v
+        for t_level, out_level in zip(t_levels, out):
+            np.subtract(t_level[sl, None], t_obs[None, :], out=work)
+            np.square(work, out=work)
+            np.negative(work, out=work)
+            np.exp(work, out=work)
+            out_level[sl] = c_y * np.einsum("ij,ij->i", work, kv) / den
     return out.reshape(y_eval.shape), floored
 
 

@@ -176,8 +176,8 @@ def probit_grid_max(d, X, lo=-5.0, hi=5.0):
 def conditional_density_reference(y_obs, v_obs, y_eval, v_eval, bandwidths,
                                   chunk: int = 512):
     """Nadaraya-Watson conditional density built on scipy's norm.pdf, one
-    full temporary per kernel dimension; selqr's in-place kernels must
-    reproduce it bit for bit."""
+    full temporary per kernel dimension; selqr's density, which applies the
+    kernel constants to row sums, must match it to rounding."""
     y_obs = np.asarray(y_obs, dtype=float)
     y_eval = np.asarray(y_eval, dtype=float)
     v_obs = np.asarray(v_obs, dtype=float).reshape(len(y_obs), -1)

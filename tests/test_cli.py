@@ -233,6 +233,18 @@ class TestFitCommand:
         assert main(["fit", "--data", "/nope.csv", "--map",
                      "d=d,y=y,w=w0"]) == 2
 
+    @pytest.mark.parametrize("command", ["fit", "cdf"])
+    @pytest.mark.parametrize("column", ["x0", "w0"])
+    def test_constant_column_exit_code(self, tmp_path, capsys, column, command):
+        data = toy_data(n=200)
+        constant = {"x": data.x, "w": data.w}
+        constant[column[0]] = np.ones_like(constant[column[0]])
+        p = tmp_path / "constant.csv"
+        write_csv(p, ObservationSet(d=data.d, y=data.y, **constant))
+        assert main([command, "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"column {column} is constant" in capsys.readouterr().err
+
     def test_short_row_exit_code(self, tmp_path, capsys):
         p = tmp_path / "short.csv"
         p.write_text("d,y,w0,x0\n1,2.0,0.5,0.1\n1,3.0\n")

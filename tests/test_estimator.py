@@ -42,9 +42,9 @@ def envelope_sample(case):
 # what each estimator gives, in ESTIMATOR_NAMES order
 ENVELOPE = {
     "no_rows_selected": (InputError, InputError, InputError),
-    "all_rows_selected": ("finite", InputError, "finite"),     # constant probit
-    "constant_covariate": (NumericalError, NumericalError, NumericalError),
-    "constant_instrument": (NumericalError, NumericalError, InputError),
+    "all_rows_selected": ("finite", "finite", "finite"),
+    "constant_covariate": (InputError, InputError, InputError),
+    "constant_instrument": (InputError, InputError, InputError),
     "tied_outcomes": ("finite", "finite", "finite"),
     "ten_covariates": ("finite", "finite", "finite"),
     "n_at_most_k": ("finite", NumericalError, InputError),     # n = 6 = K
@@ -65,6 +65,23 @@ def test_failure_envelope(case, name):
         with pytest.raises((InputError, NumericalError)) as exc:
             fit(data, 0.5, name)
         assert type(exc.value) is want
+
+
+@pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+@pytest.mark.parametrize("case, label", [("constant_covariate", "x0"),
+                                         ("constant_instrument", "w0")])
+def test_constant_column_is_named(case, label, name):
+    with pytest.raises(InputError, match=f"column {label} is constant"):
+        fit(envelope_sample(case), 0.5, name)
+
+
+def test_mar_on_fully_observed_sample_is_the_complete_case_fit():
+    data = envelope_sample("all_rows_selected")
+    mar = fit(data, [0.25, 0.5], "mar")
+    for qm, qu in zip(mar, fit(data, [0.25, 0.5], "uncorrected")):
+        assert np.array_equal(qm.theta, qu.theta)
+        assert np.array_equal(qm.se, qu.se)
+        assert qm.diagnostics["probit_iterations"] == 0
 
 
 class TestFitShapes:

@@ -10,7 +10,8 @@ from selqr import (InputError, QuantileProblem, conditional_density,
                    default_bandwidths, solve)
 from selqr import inference
 from selqr.baselines import mar_weights
-from selqr.estimator import fit_semiparametric_iv, fit_uncorrected
+from selqr.estimator import (ESTIMATOR_NAMES, fit, fit_semiparametric_iv,
+                             fit_uncorrected)
 from selqr.inference import BLOCK_ROWS
 from selqr.first_stage import cone_project, estimate_unconstrained
 from selqr.qr import quantile_score
@@ -67,10 +68,18 @@ class TestConditionalDensity:
 
 
 class TestKernelExactness:
-    """The in-place kernels against scipy norm.pdf references, bit for bit."""
+    """The kernels against scipy norm.pdf references. The LSCV bandwidths
+    match bit for bit. The density applies its kernel constants to row sums,
+    so it matches to rounding, with the same floor mask and exact zeros."""
+
+    @staticmethod
+    def assert_matches_oracle(f, floored, f_ref, floored_ref):
+        assert np.array_equal(floored, floored_ref)
+        assert np.array_equal(f == 0, f_ref == 0)
+        assert_allclose(f[..., ~floored], f_ref[..., ~floored], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("d", [0, 1, 2])
-    def test_conditional_density_bit_identical(self, d):
+    def test_conditional_density_matches_oracle(self, d):
         rng = np.random.default_rng(20 + d)
         y = 2.0 * rng.standard_normal(700)
         v = rng.standard_normal((700, d))
@@ -81,17 +90,16 @@ class TestKernelExactness:
         y_eval = 6.0 * rng.standard_normal(300)
         v_eval = 6.0 * rng.standard_normal((300, d))
         f, floored = conditional_density(y, v, y_eval, v_eval, h)
-        f_ref, floored_ref = conditional_density_reference(
-            y, v, y_eval, v_eval, h, chunk=128)
-        assert np.array_equal(f, f_ref)
-        assert np.array_equal(floored, floored_ref)
+        self.assert_matches_oracle(f, floored, *conditional_density_reference(
+            y, v, y_eval, v_eval, h, chunk=128))
         if d:
-            assert floored.any() and not floored.all()
+            assert floored.any() and not floored.all() and (f == 0).any()
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_conditional_density_levels_match_separate_calls(self, d):
         # k outcome vectors at the same conditioning points give exactly the
-        # rows of k one-dimensional calls and of the oracle, with one mask
+        # rows of k one-dimensional calls, with one mask, and the oracle's
+        # rows to rounding
         rng = np.random.default_rng(40 + d)
         y = 2.0 * rng.standard_normal(700)
         v = rng.standard_normal((700, d))
@@ -102,16 +110,30 @@ class TestKernelExactness:
         assert f.shape == (3, 300) and floored.shape == (300,)
         for y_level, f_level in zip(y_eval, f):
             f_one, floored_one = conditional_density(y, v, y_level, v_eval, h)
-            f_ref, floored_ref = conditional_density_reference(
-                y, v, y_level, v_eval, h, chunk=128)
             assert np.array_equal(f_level, f_one)
-            assert np.array_equal(f_level, f_ref)
             assert np.array_equal(floored, floored_one)
-            assert np.array_equal(floored, floored_ref)
+            self.assert_matches_oracle(f_level, floored, *conditional_density_reference(
+                y, v, y_level, v_eval, h, chunk=128))
         if d:
             assert floored.any() and not floored.all()
         with pytest.raises(InputError, match="shape"):
             conditional_density(y, v, y_eval[None], v_eval, h)
+
+    def test_conditional_density_does_not_depend_on_block_rows(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        y = 2.0 * rng.standard_normal(700)
+        v = rng.standard_normal((700, 2))
+        h = default_bandwidths(np.column_stack([y, v]))
+        y_eval = 6.0 * rng.standard_normal((3, 300))
+        v_eval = 6.0 * rng.standard_normal((300, 2))
+        outputs = []
+        for rows in (1, 7, 64):
+            monkeypatch.setattr(inference, "BLOCK_ROWS", rows)
+            outputs.append(conditional_density(y, v, y_eval, v_eval, h))
+        for f, floored in outputs[1:]:
+            assert np.array_equal(f, outputs[0][0])
+            assert np.array_equal(floored, outputs[0][1])
+        assert outputs[0][1].any() and (outputs[0][0] == 0).any()
 
     def test_cv_bandwidths_match_full_array_reference(self):
         rng = np.random.default_rng(30)
@@ -171,6 +193,34 @@ class TestKernelExactness:
             finally:
                 tracemalloc.stop()
             assert peak < 1.25 * 2 * BLOCK_ROWS * n_obs * 8
+
+
+@pytest.mark.parametrize("bandwidth_mode", ["rot", "cv"])
+def test_reports_match_the_scipy_kernel_oracle(dataset_m2, bandwidth_mode,
+                                               monkeypatch):
+    # the density's rounding reaches sigma, its se and its minimum
+    # eigenvalue, and nothing else
+    def oracle(y_obs, v_obs, y_eval, v_eval, bandwidths):
+        rows = [conditional_density_reference(y_obs, v_obs, y_level, v_eval,
+                                              bandwidths)
+                for y_level in np.atleast_2d(y_eval)]
+        return (np.reshape([f for f, _ in rows], np.shape(y_eval)), rows[0][1])
+
+    data, taus = dataset_m2.data, [0.25, 0.5, 0.75]
+    shipped = [fit(data, taus, name, bandwidth_mode=bandwidth_mode)
+               for name in ESTIMATOR_NAMES]
+    monkeypatch.setattr(inference, "conditional_density", oracle)
+    for fits in shipped:
+        for qf, qo in zip(fits, fit(data, taus, fits[0].estimator,
+                                     bandwidth_mode=bandwidth_mode)):
+            assert np.array_equal(qf.theta, qo.theta)
+            assert qf.qsol.active_set == qo.qsol.active_set
+            min_eig = qo.diagnostics["min_eigenvalue"]
+            assert qf.diagnostics == {**qo.diagnostics, "min_eigenvalue":
+                                      pytest.approx(min_eig, rel=1e-12, abs=0)}
+            assert_allclose(qf.se, qo.se, rtol=1e-12, atol=0)
+            assert_allclose(qf.sigma, qo.sigma, rtol=1e-12,
+                            atol=1e-12 * np.abs(qo.sigma).max())
 
 
 class TestCovariance:
