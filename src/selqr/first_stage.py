@@ -6,8 +6,8 @@ coefficient vector beta_u of g_u(y, x). `weights` turns the fit into
 per-observation weights D_i * max(g_u(Y_i, X_i), 1): the fitted values
 floored at one, i.e. the value vector projected onto the feasible orthant,
 untouched wherever the bound already holds. This is the one weighting rule;
-the first-stage-corrected covariance is derived for it and reads beta_u
-alone.
+the first-stage-corrected covariance is derived for it and reads beta_u and
+the 2SLS influence matrix alone.
 
 `cone_project` is the audited constrained sieve fit: it projects the fitted
 function onto the cone of functions bounded below by one within the spline
@@ -43,8 +43,7 @@ class FirstStageFit:
     beta_u: np.ndarray
     H_hat: np.ndarray           # J x K, E_n[D phi b']
     c_hat: np.ndarray           # K,   E_n[b]
-    projector: np.ndarray       # J x K, H G^-1
-    HGinvH: np.ndarray          # J x J, H G^-1 H'
+    influence: np.ndarray       # J x K, (H G^-1 H')^-1 H G^-1; beta_u = influence c
     beta_c: np.ndarray | None = None
     constraint_points: np.ndarray | None = None   # rows of phi at enforced points
     kkt: dict | None = None
@@ -81,8 +80,10 @@ def estimate_unconstrained(data: ObservationSet,
     """2SLS coefficient of the moment E[b (1 - D phi' beta)] = 0.
 
     beta_u = (H G^-1 H')^-1 H G^-1 c with H = E_n[D phi b'], G = E_n[b b'],
-    c = E_n[b]. G gets a ridge jitter of 1e-10 tr(G)/K if its factorization
-    fails; a singular H G^-1 H' after that raises.
+    c = E_n[b]. One Cholesky factor of H G^-1 H' gives beta_u and the
+    influence matrix (H G^-1 H')^-1 H G^-1 that the covariance's
+    first-stage term reads. G gets a ridge jitter of 1e-10 tr(G)/K if its
+    factorization fails; a singular H G^-1 H' after that raises.
     """
     if plan is None:
         plan = default_plan(data)
@@ -98,13 +99,14 @@ def estimate_unconstrained(data: ObservationSet,
     except np.linalg.LinAlgError:
         raise NumericalError("first-stage rank condition failed (G singular)")
     projector = GinvHt.T              # H G^-1
-    M = projector @ H.T               # H G^-1 H'
     try:
-        beta_u = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), projector @ c)
+        factor = scipy.linalg.cho_factor(projector @ H.T)   # H G^-1 H'
     except np.linalg.LinAlgError:
         raise NumericalError("first-stage rank condition failed")
+    beta_u = scipy.linalg.cho_solve(factor, projector @ c)
+    influence = scipy.linalg.cho_solve(factor, projector)
     return FirstStageFit(plan=plan, designs=designs, beta_u=beta_u, H_hat=H,
-                         c_hat=c, projector=projector, HGinvH=M)
+                         c_hat=c, influence=influence)
 
 
 def moment_residual(fit: FirstStageFit) -> np.ndarray:

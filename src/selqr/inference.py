@@ -201,27 +201,23 @@ def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
     return np.column_stack([theta - half, theta + half])
 
 
-def covariance(fit: FirstStageFit | None,
-               qsol: QuantileSolution | Sequence[QuantileSolution],
+def covariance(fit: FirstStageFit | None, qsols: Sequence[QuantileSolution],
                data: ObservationSet, omega: np.ndarray,
-               bandwidth_mode: str = "rot"
-               ) -> CovarianceEstimate | list[CovarianceEstimate]:
-    """Plug-in covariance for a weighted quantile fit at one level or several.
+               bandwidth_mode: str = "rot") -> list[CovarianceEstimate]:
+    """Plug-in covariance for weighted quantile fits at one level or several.
 
-    qsol is one QuantileSolution, which gives one CovarianceEstimate, or a
-    sequence of solutions fitted with the same weights omega, which gives a
-    list in the same order. What does not depend on the level is formed
-    once for all of them: the conditioning data and its dropped dimensions,
-    the bandwidths, the first-stage residual and projector, and the
+    qsols are solutions fitted with the same weights omega; the estimates
+    come back in the same order. What does not depend on the level is
+    formed once for all of them: the conditioning data and its dropped
+    dimensions, the bandwidths, the first-stage residual, and the
     conditioning kernel of one `conditional_density` call. Only the scores,
-    the density-weighted design and the sandwich are formed per level.
+    the density-weighted design and the sandwich are formed per level. The
+    first-stage term reads fit.influence, (H G^-1 H')^-1 H G^-1.
 
     With fit=None the first-stage correction term is dropped and the
     estimate reduces to the weights-known sandwich; this is the mode used
     for comparator estimators whose weights are treated as fixed.
     """
-    single = isinstance(qsol, QuantileSolution)
-    qsols = [qsol] if single else list(qsol)
     if not qsols:
         raise InputError("need at least one quantile level")
     Z = data.design_z()
@@ -249,8 +245,6 @@ def covariance(fit: FirstStageFit | None,
         y_sel, cond, np.array([f[sel] for f in fitted]), cond, bw)
     if fit is not None:
         Uj = 1.0 - fit.designs.phi @ fit.beta_u
-        proj_rows = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(fit.HGinvH), fit.projector)
 
     estimates = []
     for q, fitted_q, f_q in zip(qsols, fitted, f_sel):
@@ -271,7 +265,7 @@ def covariance(fit: FirstStageFit | None,
         M0 = Z * (omega * psi)[:, None]
         if fit is not None:
             T_hat = (fit.designs.phi * psi[:, None]).T @ Z / n
-            P = T_hat.T @ proj_rows                       # d_z x K
+            P = T_hat.T @ fit.influence                   # d_z x K
             M0 = M0 + (fit.designs.b @ P.T) * Uj[:, None]
 
         S = M0.T @ M0 / n
@@ -289,4 +283,4 @@ def covariance(fit: FirstStageFit | None,
             sigma=sigma, se=se, min_eigenvalue=min_eig,
             density_floored=int(floored.sum()),
             conditioning_dims_dropped=int((~keep_dims).sum())))
-    return estimates[0] if single else estimates
+    return estimates

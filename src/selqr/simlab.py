@@ -13,6 +13,7 @@ Metric tables report coefficients in the order (intercept, w, x).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -70,9 +71,6 @@ class GeneratedDataset:
     y_star: np.ndarray
     p: np.ndarray
     theta_true: np.ndarray      # in Z order (intercept, x, w)
-    setting: str
-    mechanism: str
-    tau: float
 
 
 def _mixture_quantile(tau: float) -> float:
@@ -127,9 +125,7 @@ def generate(spec: SimulationSpec, replication_index: int) -> GeneratedDataset:
     data = ObservationSet(d=d, y=np.where(d == 1, y_star, np.nan),
                           w=w.reshape(-1, 1), x=x.reshape(-1, 1))
     theta_true = np.array([b0, b2, b1])   # Z order: intercept, x, w
-    return GeneratedDataset(data=data, y_star=y_star, p=p,
-                            theta_true=theta_true, setting=spec.setting,
-                            mechanism=spec.mechanism, tau=spec.tau)
+    return GeneratedDataset(data=data, y_star=y_star, p=p, theta_true=theta_true)
 
 
 # report order: intercept, instrument slope, covariate slope
@@ -137,35 +133,26 @@ REPORT_LABELS = ("intercept", "w", "x")
 _Z_TO_REPORT = np.array([0, 2, 1])
 
 
-def _run_replication(spec: SimulationSpec, idx: int, fitters=None):
-    """Fit every estimator of spec to replication idx; `fitters` maps a name
-    to a stand-in `f(gd, spec) -> QuantileFit` (tests pass fakes).
+def _run_replication(spec: SimulationSpec, idx: int) -> dict:
+    """Fit every estimator of spec to replication idx through `estimator.fit`.
 
     A fit that fails on its draw, numerically or on an input the draw made
     degenerate (a constant probit response, collapsed knot quantiles),
-    returns the replication as an error with its cause instead of raising.
+    returns the replication as {"error": cause} instead of raising.
     """
     gd = generate(spec, idx)
     out = {}
     for name in spec.estimators:
         try:
-            qf = (fitters[name](gd, spec) if fitters else
-                  est.fit(gd.data, spec.tau, name))
+            qf = est.fit(gd.data, spec.tau, name)
         except (InputError, NumericalError, np.linalg.LinAlgError) as exc:
-            return {"index": idx, "error": f"{name}: {exc}"}
+            return {"error": f"{name}: {exc}"}
         out[name] = {
             "theta": qf.theta[_Z_TO_REPORT],
             "ci_lo": qf.ci[_Z_TO_REPORT, 0],
             "ci_hi": qf.ci[_Z_TO_REPORT, 1],
         }
-    out["index"] = idx
-    out["theta_true"] = gd.theta_true[_Z_TO_REPORT]
     return out
-
-
-def _pool_task(args):
-    spec, idx = args
-    return _run_replication(spec, idx)
 
 
 @dataclass(frozen=True)
@@ -176,26 +163,20 @@ class MetricsTable:
     labels: tuple[str, ...]
     metrics: dict                 # estimator -> metric -> (d,) array
     replications: dict            # estimator -> {"theta","ci_lo","ci_hi"} (R,d)
-    theta_true: np.ndarray
+    theta_true: np.ndarray        # _BETA_TRUE, in report order
     excluded: tuple = ()
 
     METRIC_NAMES = ("bias", "rmse", "ci_length", "coverage")
-
-    def to_rows(self):
-        rows = []
-        for name in self.spec.estimators:
-            for j, label in enumerate(self.labels):
-                for metric in self.METRIC_NAMES:
-                    rows.append((name, label, metric,
-                                 float(self.metrics[name][metric][j])))
-        return rows
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["estimator", "coefficient", "metric", "value"])
-            for row in self.to_rows():
-                writer.writerow([row[0], row[1], row[2], repr(row[3])])
+            for name in self.spec.estimators:
+                for j, label in enumerate(self.labels):
+                    for metric in self.METRIC_NAMES:
+                        writer.writerow([name, label, metric,
+                                         repr(float(self.metrics[name][metric][j]))])
 
     def to_dict(self):
         from . import __version__
@@ -241,39 +222,35 @@ class MetricsTable:
         return "\n".join(lines)
 
 
-def run(spec: SimulationSpec, n_jobs: int = 1, fitters=None) -> MetricsTable:
+def run(spec: SimulationSpec, n_jobs: int = 1) -> MetricsTable:
     """Generate, fit and aggregate over spec.reps replications.
 
-    Failed replications are excluded from aggregation and reported; more
-    than 2% exclusions fails the run. Aggregates are means over stored
-    per-replication arrays (numpy pairwise summation), so they do not
-    depend on completion order or worker count. At most min(n_jobs,
-    spec.reps) worker processes start.
+    Every replication is fitted by `estimator.fit`. Failed replications are
+    excluded from aggregation and reported; more than 2% exclusions fails
+    the run with a NumericalError, so below 50 replications one failure
+    does. Aggregates are means over stored per-replication arrays (numpy
+    pairwise summation) in replication order, so they do not depend on the
+    worker count. At most min(n_jobs, spec.reps) worker processes start.
     """
     if n_jobs < 1:
         raise InputError("jobs must be >= 1")
-    results = [None] * spec.reps
+    task = functools.partial(_run_replication, spec)
     workers = min(n_jobs, spec.reps)
-    if workers > 1 and fitters is None:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_pool_task, ((spec, i) for i in range(spec.reps)),
-                                chunksize=max(1, spec.reps // (8 * workers))):
-                results[res["index"]] = res
+            results = list(pool.map(task, range(spec.reps),
+                                    chunksize=max(1, spec.reps // (8 * workers))))
     else:
-        for i in range(spec.reps):
-            results[i] = _run_replication(spec, i, fitters)
+        results = list(map(task, range(spec.reps)))
 
-    excluded = tuple((r["index"], r["error"]) for r in results if "error" in r)
-    kept = [r for r in results if "error" not in r]
+    excluded = tuple((i, r["error"]) for i, r in enumerate(results) if "error" in r)
     if len(excluded) > 0.02 * spec.reps:
         raise NumericalError(
             f"{len(excluded)} of {spec.reps} replications failed (>2%): "
             f"{excluded[:3]}...")
-    if not kept:
-        raise NumericalError("all replications failed")
+    kept = [r for r in results if "error" not in r]
 
-    theta_true = kept[0]["theta_true"]
-    d = len(theta_true)
+    theta_true = np.array(_BETA_TRUE)
     metrics, replications = {}, {}
     for name in spec.estimators:
         theta = np.vstack([r[name]["theta"] for r in kept])
@@ -287,6 +264,6 @@ def run(spec: SimulationSpec, n_jobs: int = 1, fitters=None) -> MetricsTable:
             "coverage": ((ci_lo <= theta_true) & (theta_true <= ci_hi)).mean(axis=0),
         }
         replications[name] = {"theta": theta, "ci_lo": ci_lo, "ci_hi": ci_hi}
-    return MetricsTable(spec=spec, labels=REPORT_LABELS[:d], metrics=metrics,
+    return MetricsTable(spec=spec, labels=REPORT_LABELS, metrics=metrics,
                         replications=replications, theta_true=theta_true,
                         excluded=excluded)

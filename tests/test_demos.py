@@ -1,9 +1,9 @@
 """Every name a demo imports from selqr resolves, and the quick demos run.
 
 The imports are parsed, so a deleted or renamed public name fails here in
-milliseconds. Demos 01, 02, 03 and 05 also run to exit 0 (about 10 s
-together), which catches a demo reading a deleted attribute. Demo 04 takes
-about 7 s on its own; test_simlab covers its path.
+milliseconds. Every demo also runs to exit 0, which catches a demo reading
+a deleted attribute. Demo 04, about 3.5 s on two cores, is the only one that
+drives the parallel `simlab.run` path.
 """
 
 import ast
@@ -18,7 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-RUN = ("01", "02", "03", "05")
+RUN = ("01", "02", "03", "04", "05")
 
 
 def _selqr_imports(tree):

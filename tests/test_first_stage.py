@@ -48,8 +48,24 @@ class TestUnconstrained:
     def test_overidentified_residual_is_projection_residual(self, data_mnar):
         fit = estimate_unconstrained(data_mnar)
         r = moment_residual(fit)
-        # 2SLS normal equations: residual orthogonal to H G^-1
-        assert np.abs(fit.projector @ r).max() < 1e-10
+        # 2SLS normal equations: residual orthogonal to H G^-1, so the
+        # influence matrix (H G^-1 H')^-1 H G^-1 annihilates it too
+        assert np.abs(fit.influence @ r).max() < 1e-10
+
+    def test_influence_matches_direct_solve(self, data_mnar, dataset_m2):
+        # rebuilt from the designs with LU solves, not the fit's Cholesky
+        for data in (data_mnar, dataset_m2.data):
+            fit = estimate_unconstrained(data)
+            phi, b = fit.designs.phi, fit.designs.b
+            H = phi.T @ b / data.n
+            G = b.T @ b / data.n
+            HGinv = np.linalg.solve(G, H.T).T
+            want = np.linalg.solve(HGinv @ H.T, HGinv)
+            assert fit.influence.shape == (phi.shape[1], b.shape[1])
+            assert_allclose(fit.influence, want, rtol=0,
+                            atol=1e-10 * np.abs(want).max())
+            assert_allclose(fit.influence @ fit.c_hat, fit.beta_u,
+                            rtol=0, atol=1e-12 * max(1.0, np.abs(fit.beta_u).max()))
 
 
 class TestConeProject:

@@ -230,7 +230,7 @@ class TestCovariance:
         Z = data.design_z()
         omega = np.ones(data.n)
         qsol = solve(QuantileProblem(Z=Z, y=data.y, w=omega, tau=0.5))
-        cov = covariance(None, qsol, data, omega=omega)
+        cov = covariance(None, [qsol], data, omega=omega)[0]
 
         cond = Z[:, 1:]                 # intercept and omega dims are constant
         kd = np.column_stack([data.y, cond])
@@ -256,8 +256,8 @@ class TestCovariance:
         assert (resid < 0).all() and (resid > -1e-12).all()
         nudged = dataclasses.replace(qsol, theta=theta)
         for fs in (None, cone_project(estimate_unconstrained(data), data)):
-            se = covariance(fs, qsol, data, omega=omega).se
-            assert_allclose(covariance(fs, nudged, data, omega=omega).se, se,
+            se = covariance(fs, [qsol], data, omega=omega)[0].se
+            assert_allclose(covariance(fs, [nudged], data, omega=omega)[0].se, se,
                             rtol=1e-10)
 
     def test_sigma_symmetric_psd(self, dataset_m2):
@@ -272,7 +272,7 @@ class TestCovariance:
         wv = weights(fit, data)
         qsol = solve(QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan),
                                      w=wv.omega, tau=0.5))
-        cov = covariance(fit, qsol, data, omega=wv.omega)
+        cov = covariance(fit, [qsol], data, omega=wv.omega)[0]
         assert cov.min_eigenvalue >= -1e-10
 
     def test_correction_vanishes_with_perfect_first_stage(self, data_full):
@@ -283,8 +283,8 @@ class TestCovariance:
         omega = np.ones(data.n)
         qsol = solve(QuantileProblem(Z=data.design_z(), y=data.y,
                                      w=omega, tau=0.5))
-        with_corr = covariance(fit, qsol, data, omega=omega)
-        without = covariance(None, qsol, data, omega=omega)
+        with_corr = covariance(fit, [qsol], data, omega=omega)[0]
+        without = covariance(None, [qsol], data, omega=omega)[0]
         assert_allclose(with_corr.sigma, without.sigma, atol=1e-8)
 
     def test_ci_length_root_n_rate(self):

@@ -79,24 +79,37 @@ class TestGenerate:
             SimulationSpec("C", "M2", n=100, reps=1, estimators=("mar", "mar"))
 
 
-def _stub_fitters(theta_fn):
-    def make(name):
-        def fitter(gd, spec):
-            theta = theta_fn(gd)
-            ci = np.column_stack([theta - 1e-9, theta + 1e-9])
-            return QuantileFit(tau=spec.tau, estimator=name, theta=theta,
-                               sigma=np.zeros((3, 3)), se=np.zeros(3), ci=ci,
-                               labels=("intercept", "x0", "w0"))
-        return fitter
-    return {name: make(name) for name in
-            ("uncorrected", "mar", "semiparametric_iv")}
+_TRUTH = generate(SimulationSpec("C", "M2", n=10, reps=1), 0).theta_true
+
+
+def _oracle_fit(data, tau, name):
+    """Stand-in for estimator.fit: theta is the truth (Z order), inside a
+    2e-9-wide interval."""
+    ci = np.column_stack([_TRUTH - 1e-9, _TRUTH + 1e-9])
+    return QuantileFit(tau=tau, estimator=name, theta=_TRUTH.copy(),
+                       sigma=np.zeros((3, 3)), se=np.zeros(3), ci=ci,
+                       labels=("intercept", "x0", "w0"))
+
+
+def _failing_first(failures):
+    """Stand-in for estimator.fit that raises on its first `failures` calls
+    and then returns the truth."""
+    calls = {"n": 0}
+    def fit(data, tau, name):
+        calls["n"] += 1
+        if calls["n"] <= failures:
+            raise NumericalError("bad draw")
+        return _oracle_fit(data, tau, name)
+    return fit
 
 
 class TestRun:
-    def test_oracle_stub_gives_zero_bias_full_coverage(self):
+    def test_oracle_stub_gives_zero_bias_full_coverage(self, monkeypatch):
+        # the table's truth is generate's theta_true, in report order
+        monkeypatch.setattr(simlab.est, "fit", _oracle_fit)
         spec = SimulationSpec("C", "M2", n=50, reps=5, seed=1,
                               estimators=("uncorrected",))
-        table = run(spec, fitters=_stub_fitters(lambda gd: gd.theta_true.copy()))
+        table = run(spec)
         assert_allclose(table.metrics["uncorrected"]["bias"], 0.0, atol=1e-12)
         assert_allclose(table.metrics["uncorrected"]["coverage"], 1.0)
         assert_allclose(table.metrics["uncorrected"]["rmse"], 0.0, atol=1e-12)
@@ -164,42 +177,48 @@ class TestRun:
         with pytest.raises(InputError, match="jobs must be >= 1"):
             run(spec, n_jobs=n_jobs)
 
-    def test_failed_replication_excluded_and_capped(self):
-        def flaky(gd, spec):
-            if abs(float(gd.data.w[0, 0]) * 1e6) % 7 < 3.5:   # fails often
+    def test_failed_replication_excluded_and_capped(self, monkeypatch):
+        def flaky(data, tau, name):
+            if abs(float(data.w[0, 0]) * 1e6) % 7 < 3.5:   # fails often
                 raise NumericalError("synthetic failure")
-            return _stub_fitters(lambda g: g.theta_true.copy())["uncorrected"](gd, spec)
-        fitters = {"uncorrected": flaky}
+            return _oracle_fit(data, tau, name)
+        monkeypatch.setattr(simlab.est, "fit", flaky)
         spec = SimulationSpec("C", "M2", n=50, reps=10, seed=2,
                               estimators=("uncorrected",))
         with pytest.raises(NumericalError, match="replications failed"):
-            run(spec, fitters=fitters)
+            run(spec)
 
-    def test_input_error_excludes_only_its_replication(self):
+    @pytest.mark.parametrize("reps, failures", [(4, 1), (1, 1), (3, 3)])
+    def test_failures_past_two_percent_fail_the_run(self, monkeypatch, reps,
+                                                    failures):
+        # below 50 replications one failure is more than 2 %; an all-failed
+        # run fails the same way
+        monkeypatch.setattr(simlab.est, "fit", _failing_first(failures))
+        spec = SimulationSpec("C", "M2", n=50, reps=reps, seed=2,
+                              estimators=("uncorrected",))
+        with pytest.raises(NumericalError,
+                           match=rf"{failures} of {reps} replications failed"):
+            run(spec)
+
+    def test_input_error_excludes_only_its_replication(self, monkeypatch):
         # a draw can make an input degenerate; the run goes on without it
-        good = _stub_fitters(lambda g: g.theta_true.copy())["uncorrected"]
-        bad_y = generate(SimulationSpec("C", "M2", n=50, reps=60, seed=2), 7).y_star
-        def degenerate_on_7(gd, spec):
-            if np.array_equal(gd.y_star, bad_y):
+        bad_w = generate(SimulationSpec("C", "M2", n=50, reps=60, seed=2), 7).data.w
+        def degenerate_on_7(data, tau, name):
+            if np.array_equal(data.w, bad_w):
                 raise InputError("probit response is constant")
-            return good(gd, spec)
+            return _oracle_fit(data, tau, name)
+        monkeypatch.setattr(simlab.est, "fit", degenerate_on_7)
         spec = SimulationSpec("C", "M2", n=50, reps=60, seed=2,
                               estimators=("uncorrected",))
-        table = run(spec, fitters={"uncorrected": degenerate_on_7})
+        table = run(spec)
         assert table.excluded == ((7, "uncorrected: probit response is constant"),)
         assert len(table.replications["uncorrected"]["theta"]) == 59
 
-    def test_single_failure_recorded(self):
-        calls = {"n": 0}
-        good = _stub_fitters(lambda g: g.theta_true.copy())["uncorrected"]
-        def once_flaky(gd, spec):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise NumericalError("one bad draw")
-            return good(gd, spec)
+    def test_single_failure_recorded(self, monkeypatch):
+        monkeypatch.setattr(simlab.est, "fit", _failing_first(1))
         spec = SimulationSpec("C", "M2", n=50, reps=60, seed=2,
                               estimators=("uncorrected",))
-        table = run(spec, fitters={"uncorrected": once_flaky})
+        table = run(spec)
         assert len(table.excluded) == 1
         assert table.excluded[0][0] == 0
         assert len(table.replications["uncorrected"]["theta"]) == 59
