@@ -1,8 +1,9 @@
 """Command-line surface: fit, simulate, cdf.
 
-Exit codes: 0 success, 2 input error, 3 numerical failure. All outputs are
-deterministic functions of (config, data); `simulate` also of its seed.
-Reports embed the config hash and package version, never timestamps.
+Exit codes: 0 success, 2 input error or unusable path, 3 numerical failure.
+All outputs are deterministic functions of (config, data); `simulate` also
+of its seed. Reports embed the config hash and package version, never
+timestamps.
 """
 
 from __future__ import annotations
@@ -91,10 +92,10 @@ def cmd_fit(config: RunConfig, data) -> dict:
                 "tau": tau,
                 "estimator": name,
                 "labels": list(qf.labels),
-                "theta": [float(v) for v in qf.theta],
-                "sigma": [[float(v) for v in row] for row in qf.sigma],
-                "se": [float(v) for v in qf.se],
-                "ci": [[float(lo), float(hi)] for lo, hi in qf.ci],
+                "theta": qf.theta.tolist(),
+                "sigma": qf.sigma.tolist(),
+                "se": qf.se.tolist(),
+                "ci": qf.ci.tolist(),
                 "diagnostics": qf.diagnostics,
             })
     return {"config_hash": config.hash(), "version": __version__,
@@ -116,10 +117,19 @@ def cmd_cdf(data, plan: BasisPlan) -> list[tuple[float, float, float]]:
                     empirical.cum_weights.tolist()))
 
 
-def _write_cdf_csv(rows, stream):
+def _cdf_csv(rows) -> str:
     # the bytes csv.writer gives: repr of each float, "\r\n" line ends
-    stream.write("y,cdf_corrected,cdf_empirical\r\n")
-    stream.write("".join(f"{y!r},{c!r},{e!r}\r\n" for y, c, e in rows))
+    return "".join(["y,cdf_corrected,cdf_empirical\r\n",
+                    *(f"{y!r},{c!r},{e!r}\r\n" for y, c, e in rows)])
+
+
+def _emit(text: str, out) -> None:
+    """Write text to the file out as UTF-8, or to stdout when out is unset."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _add_basis_flags(p):
@@ -185,12 +195,7 @@ def _run(args) -> int:
         data = ingest_csv(args.data, parse_column_map(args.map))
         estimator.check_columns(data)
         report = cmd_fit(config, data)
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
         return 0
 
     if args.command == "simulate":
@@ -199,22 +204,19 @@ def _run(args) -> int:
             reps=args.reps, tau=args.tau, seed=args.seed,
             estimators=tuple(e.strip() for e in args.estimators.split(",")))
         table = simlab.run(spec, n_jobs=args.jobs)
-        print(table.format())
+        _emit(table.format() + "\n", None)
         if args.out:
-            table.write_csv(args.out + ".csv")
-            table.write_json(args.out + ".json")
+            _emit(table.csv(), args.out + ".csv")
+            _emit(json.dumps(table.to_dict(), indent=2, sort_keys=True) + "\n",
+                  args.out + ".json")
         return 0
 
     if args.command == "cdf":
         data = ingest_csv(args.data, parse_column_map(args.map))
         estimator.check_columns(data)
-        rows = cmd_cdf(data, default_plan(
-            data, args.y_interior_knots, args.w_interior_knots))
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                _write_cdf_csv(rows, fh)
-        else:
-            _write_cdf_csv(rows, sys.stdout)
+        # the rows are freed once they are text, before the text is written
+        _emit(_cdf_csv(cmd_cdf(data, default_plan(
+            data, args.y_interior_knots, args.w_interior_knots))), args.out)
         return 0
     raise InputError(f"unknown command {args.command!r}")
 
@@ -223,7 +225,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

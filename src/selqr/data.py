@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InputError
 
 INGEST_CHUNK_ROWS = 4096
+_ENCODING = "utf-8-sig"   # UTF-8, skipping a leading byte-order mark
 _BINARY = frozenset(("0", "1"))
 
 
@@ -118,7 +119,7 @@ def _file_line(path, row_number: int) -> int:
     ingest_csv reads them. Only the error path calls this, so reading rows
     never tracks lines.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=_ENCODING) as fh:
         reader = csv.reader(fh)
         next(reader)
         next(itertools.islice(filter(None, reader), row_number - 1, None))
@@ -172,42 +173,48 @@ def ingest_csv(path, colmap: ColumnMap) -> ObservationSet:
     `float()`, so its grammar (underscores, `nan`, `inf`, Unicode digits)
     is the accepted one. A duplicate header name refers to its last
     column, extra trailing fields are ignored, and a row too short to
-    reach every mapped column is an error.
+    reach every mapped column is an error. The file is UTF-8, and a
+    leading byte-order mark is skipped; other bytes are an error that
+    names the file.
 
     Rows are read in chunks of INGEST_CHUNK_ROWS and each chunk is
     converted a column at a time, so memory beyond the result is one chunk
     of field strings whatever the file's length: 50 000 rows of four
     numeric columns peak at about 5 MB of traced allocations.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: empty file, header row required")
-        needed = {colmap.d_column, colmap.y_column, *colmap.w_columns, *colmap.x_columns}
-        missing = needed - set(header)
-        if missing:
-            raise InputError(f"{path}: missing column(s) {sorted(missing)}")
-        index = {name: i for i, name in enumerate(header)}   # last one wins
-        di, yi = index[colmap.d_column], index[colmap.y_column]
-        numeric = [(c, index[c]) for c in (*colmap.w_columns, *colmap.x_columns)]
-        need = 1 + max(index[c] for c in needed)
-        rows_in = filter(None, reader)   # drop blank lines
-        chunks, n_read = [], 0
-        while rows := list(itertools.islice(rows_in, INGEST_CHUNK_ROWS)):
-            try:
-                chunks.append(_convert_chunk(rows, header, need, di, yi, numeric))
-            except InputError:
-                # earlier chunks passed every check: the first row that fails
-                # here alone holds the first error in the file
-                for k, row in enumerate(rows, start=n_read + 1):
-                    try:
-                        _convert_chunk([row], header, need, di, yi, numeric)
-                    except InputError as exc:
-                        line = _file_line(path, k)
-                        raise InputError(f"{exc} at line {line}") from None
-                raise   # not reached: a chunk fails only where one row does
-            n_read += len(rows)
+    try:
+        with open(path, newline="", encoding=_ENCODING) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file, header row required")
+            needed = {colmap.d_column, colmap.y_column,
+                      *colmap.w_columns, *colmap.x_columns}
+            missing = needed - set(header)
+            if missing:
+                raise InputError(f"{path}: missing column(s) {sorted(missing)}")
+            index = {name: i for i, name in enumerate(header)}   # last one wins
+            di, yi = index[colmap.d_column], index[colmap.y_column]
+            numeric = [(c, index[c]) for c in (*colmap.w_columns, *colmap.x_columns)]
+            need = 1 + max(index[c] for c in needed)
+            rows_in = filter(None, reader)   # drop blank lines
+            chunks, n_read = [], 0
+            while rows := list(itertools.islice(rows_in, INGEST_CHUNK_ROWS)):
+                try:
+                    chunks.append(_convert_chunk(rows, header, need, di, yi, numeric))
+                except InputError:
+                    # earlier chunks passed every check: the first row that fails
+                    # here alone holds the first error in the file
+                    for k, row in enumerate(rows, start=n_read + 1):
+                        try:
+                            _convert_chunk([row], header, need, di, yi, numeric)
+                        except InputError as exc:
+                            line = _file_line(path, k)
+                            raise InputError(f"{exc} at line {line}") from None
+                    raise   # not reached: a chunk fails only where one row does
+                n_read += len(rows)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not chunks:
         raise InputError(f"{path}: no data rows")
     d, y, wx = (np.concatenate(parts) for parts in zip(*chunks))
@@ -229,7 +236,7 @@ def write_csv(path, data: ObservationSet, colmap: ColumnMap | None = None) -> Co
     cols = [list(map(str, data.d.tolist())),
             ["" if v != v else repr(v) for v in data.y.tolist()]]
     cols += [list(map(repr, c)) for c in np.hstack([data.w, data.x]).T.tolist()]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
     return colmap

@@ -7,16 +7,16 @@ MNAR-linear, M3 MNAR-nonlinear) calibrated to roughly 35% missingness.
 Replications draw from pre-split RNG streams keyed by (seed, index), so
 results are identical no matter how many workers run them.
 
-Metric tables report coefficients in the order (intercept, w, x).
+A MetricsTable holds the stacked replications and derives bias, RMSE, CI
+length and coverage from them; it renders them as text, CSV or a dict and
+writes no file. Coefficients are in the order (intercept, w, x).
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit, ndtr, ndtri, stdtrit
@@ -131,6 +131,9 @@ def generate(spec: SimulationSpec, replication_index: int) -> GeneratedDataset:
 # report order: intercept, instrument slope, covariate slope
 REPORT_LABELS = ("intercept", "w", "x")
 _Z_TO_REPORT = np.array([0, 2, 1])
+# metric -> console panel title, in report order
+METRICS = {"bias": "Mean bias", "rmse": "RMSE", "ci_length": "CI length",
+           "coverage": "Coverage"}
 
 
 def _run_replication(spec: SimulationSpec, idx: int) -> dict:
@@ -157,50 +160,55 @@ def _run_replication(spec: SimulationSpec, idx: int) -> dict:
 
 @dataclass(frozen=True)
 class MetricsTable:
-    """Per-estimator, per-coefficient simulation metrics plus raw draws."""
+    """The kept replications of one spec, and the metrics derived from them."""
 
     spec: SimulationSpec
-    labels: tuple[str, ...]
-    metrics: dict                 # estimator -> metric -> (d,) array
-    replications: dict            # estimator -> {"theta","ci_lo","ci_hi"} (R,d)
-    theta_true: np.ndarray        # _BETA_TRUE, in report order
-    excluded: tuple = ()
+    replications: dict     # estimator -> {"theta","ci_lo","ci_hi"} (R, 3)
+    excluded: tuple = ()   # (index, cause) per failed replication
 
-    METRIC_NAMES = ("bias", "rmse", "ci_length", "coverage")
+    labels = REPORT_LABELS
+    theta_true = np.array(_BETA_TRUE)
+    theta_true.setflags(write=False)
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["estimator", "coefficient", "metric", "value"])
-            for name in self.spec.estimators:
-                for j, label in enumerate(self.labels):
-                    for metric in self.METRIC_NAMES:
-                        writer.writerow([name, label, metric,
-                                         repr(float(self.metrics[name][metric][j]))])
+    @functools.cached_property
+    def metrics(self) -> dict:
+        """estimator -> metric -> (3,) array, computed once. Each is a mean
+        over the stored arrays (numpy pairwise summation) in replication
+        order, so it does not depend on the worker count. An interval with
+        an endpoint at the truth covers it."""
+        truth, out = self.theta_true, {}
+        for name, rep in self.replications.items():
+            err = rep["theta"] - truth
+            lo, hi = rep["ci_lo"], rep["ci_hi"]
+            out[name] = {
+                "bias": err.mean(axis=0),
+                "rmse": np.sqrt((err ** 2).mean(axis=0)),
+                "ci_length": (hi - lo).mean(axis=0),
+                "coverage": ((lo <= truth) & (truth <= hi)).mean(axis=0),
+            }
+        return out
+
+    def csv(self) -> str:
+        """One row per estimator x coefficient x metric, as the bytes
+        csv.writer gives: repr of each float, CRLF line ends."""
+        rows = ["estimator,coefficient,metric,value"]
+        for name, metrics in self.metrics.items():
+            values = {metric: v.tolist() for metric, v in metrics.items()}
+            rows += [f"{name},{label},{metric},{values[metric][j]!r}"
+                     for j, label in enumerate(self.labels) for metric in METRICS]
+        return "".join(row + "\r\n" for row in rows)
 
     def to_dict(self):
         from . import __version__
         return {
             "version": __version__,
-            "spec": {
-                "setting": self.spec.setting, "mechanism": self.spec.mechanism,
-                "n": self.spec.n, "reps": self.spec.reps, "tau": self.spec.tau,
-                "seed": self.spec.seed, "estimators": list(self.spec.estimators),
-            },
+            "spec": asdict(self.spec),
             "labels": list(self.labels),
-            "theta_true": [float(v) for v in self.theta_true],
+            "theta_true": self.theta_true.tolist(),
             "excluded_replications": [list(e) for e in self.excluded],
-            "metrics": {
-                name: {metric: [float(v) for v in self.metrics[name][metric]]
-                       for metric in self.METRIC_NAMES}
-                for name in self.spec.estimators
-            },
+            "metrics": {name: {metric: v.tolist() for metric, v in metrics.items()}
+                        for name, metrics in self.metrics.items()},
         }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def format(self) -> str:
         """Four-panel console table (bias, RMSE, CI length, coverage)."""
@@ -208,29 +216,23 @@ class MetricsTable:
         lines = [f"setting {self.spec.setting} / {self.spec.mechanism}  "
                  f"tau={self.spec.tau}  n={self.spec.n}  reps={self.spec.reps}"
                  + (f"  excluded={len(self.excluded)}" if self.excluded else "")]
-        panel_names = {"bias": "Mean bias", "rmse": "RMSE",
-                       "ci_length": "CI length", "coverage": "Coverage"}
-        for metric in self.METRIC_NAMES:
-            lines.append("")
-            lines.append(panel_names[metric])
-            header = " " * width + "".join(f"{lab:>12s}" for lab in self.labels)
-            lines.append(header)
-            for name in self.spec.estimators:
-                vals = self.metrics[name][metric]
-                lines.append(f"{name:<{width}s}"
-                             + "".join(f"{v:12.3f}" for v in vals))
+        header = " " * width + "".join(f"{lab:>12s}" for lab in self.labels)
+        for metric, title in METRICS.items():
+            lines += ["", title, header]
+            lines += [f"{name:<{width}s}" + "".join(f"{v:12.3f}" for v in m[metric])
+                      for name, m in self.metrics.items()]
         return "\n".join(lines)
 
 
 def run(spec: SimulationSpec, n_jobs: int = 1) -> MetricsTable:
-    """Generate, fit and aggregate over spec.reps replications.
+    """Generate and fit spec.reps replications; return them as a table.
 
     Every replication is fitted by `estimator.fit`. Failed replications are
-    excluded from aggregation and reported; more than 2% exclusions fails
-    the run with a NumericalError, so below 50 replications one failure
-    does. Aggregates are means over stored per-replication arrays (numpy
-    pairwise summation) in replication order, so they do not depend on the
-    worker count. At most min(n_jobs, spec.reps) worker processes start.
+    left out of the table and listed in its `excluded`; more than 2%
+    exclusions fails the run with a NumericalError, so below 50
+    replications one failure does. Replications stack in index order
+    whatever the worker count. At most min(n_jobs, spec.reps) worker
+    processes start.
     """
     if n_jobs < 1:
         raise InputError("jobs must be >= 1")
@@ -249,21 +251,7 @@ def run(spec: SimulationSpec, n_jobs: int = 1) -> MetricsTable:
             f"{len(excluded)} of {spec.reps} replications failed (>2%): "
             f"{excluded[:3]}...")
     kept = [r for r in results if "error" not in r]
-
-    theta_true = np.array(_BETA_TRUE)
-    metrics, replications = {}, {}
-    for name in spec.estimators:
-        theta = np.vstack([r[name]["theta"] for r in kept])
-        ci_lo = np.vstack([r[name]["ci_lo"] for r in kept])
-        ci_hi = np.vstack([r[name]["ci_hi"] for r in kept])
-        err = theta - theta_true
-        metrics[name] = {
-            "bias": err.mean(axis=0),
-            "rmse": np.sqrt((err ** 2).mean(axis=0)),
-            "ci_length": (ci_hi - ci_lo).mean(axis=0),
-            "coverage": ((ci_lo <= theta_true) & (theta_true <= ci_hi)).mean(axis=0),
-        }
-        replications[name] = {"theta": theta, "ci_lo": ci_lo, "ci_hi": ci_hi}
-    return MetricsTable(spec=spec, labels=REPORT_LABELS, metrics=metrics,
-                        replications=replications, theta_true=theta_true,
-                        excluded=excluded)
+    replications = {name: {key: np.vstack([r[name][key] for r in kept])
+                           for key in ("theta", "ci_lo", "ci_hi")}
+                    for name in spec.estimators}
+    return MetricsTable(spec, replications, excluded)

@@ -12,7 +12,7 @@ from selqr import (ColumnMap, InputError, NumericalError, ObservationSet,
                    SimulationSpec, corrected_cdf, default_plan, first_stage,
                    fit, fit_mar, fit_semiparametric_iv, generate, ingest_csv,
                    write_csv)
-from selqr.cli import (RunConfig, _write_cdf_csv, build_parser, cmd_cdf, main,
+from selqr.cli import (RunConfig, _cdf_csv, build_parser, cmd_cdf, main,
                        parse_column_map)
 from conftest import toy_data
 
@@ -234,6 +234,38 @@ class TestFitCommand:
                      "d=d,y=y,w=w0"]) == 2
 
     @pytest.mark.parametrize("command", ["fit", "cdf"])
+    @pytest.mark.parametrize("case", ["data_is_directory", "out_is_directory",
+                                      "data_not_utf8"])
+    def test_unusable_path_is_an_input_error(self, tmp_path, capsys, command,
+                                             case):
+        p, _ = _sim_csv(tmp_path, n=200)
+        data, out = str(p), str(tmp_path / "out")
+        if case == "data_is_directory":
+            data = str(tmp_path)
+        elif case == "out_is_directory":
+            out = str(tmp_path)
+        else:
+            p.write_bytes(p.read_bytes().replace(b"\r\n", b"\xff\r\n", 1))
+        assert main([command, "--data", data, "--map", "d=d,y=y,w=w0,x=x0",
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
+        if case == "data_not_utf8":
+            assert f"{p}: not UTF-8 text" in err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # a spreadsheet may save UTF-8 with a leading byte-order mark
+        p, _ = _sim_csv(tmp_path, n=400)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        reports = []
+        for path in (p, bom):
+            assert main(["fit", "--data", str(path), "--map",
+                         "d=d,y=y,w=w0,x=x0"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("command", ["fit", "cdf"])
     @pytest.mark.parametrize("column", ["x0", "w0"])
     def test_constant_column_exit_code(self, tmp_path, capsys, column, command):
         data = toy_data(n=200)
@@ -399,6 +431,4 @@ class TestCdfCommand:
         rows = [(-0.0, 0.0, 1e-300), (1.0 / 3.0, 5e-324, 1.0),
                 (-1.5e17, float("nan"), float("inf")), (2.0, 0.25, 1e16)]
         for sample in (rows, []):
-            got = io.StringIO()
-            _write_cdf_csv(sample, got)
-            assert got.getvalue() == via_csv_writer(sample)
+            assert _cdf_csv(sample) == via_csv_writer(sample)

@@ -18,7 +18,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-RUN = ("01", "02", "03", "04", "05")
 
 
 def _selqr_imports(tree):
@@ -49,8 +48,7 @@ def test_demo_imports_resolve(path):
             f"{path.name}: 'from {module_name} import {name}' does not resolve"
 
 
-@pytest.mark.parametrize("path", [p for p in DEMOS if p.name[:2] in RUN],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path, tmp_path):
     # TMPDIR keeps demo 05's working directory inside tmp_path
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"),

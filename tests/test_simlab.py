@@ -1,5 +1,8 @@
+import csv
 import dataclasses
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from numpy.testing import assert_allclose
 from selqr import (InputError, NumericalError, SimulationSpec, generate, run,
                    simlab)
 from selqr.estimator import QuantileFit
-from selqr.simlab import _draw_errors, _mixture_quantile
+from selqr.simlab import (METRICS, REPORT_LABELS, MetricsTable, _draw_errors,
+                          _mixture_quantile)
 from oracles import errors_reference, mixture_quantile_reference
 
 
@@ -222,3 +226,40 @@ class TestRun:
         assert len(table.excluded) == 1
         assert table.excluded[0][0] == 0
         assert len(table.replications["uncorrected"]["theta"]) == 59
+
+
+class TestMetricsTable:
+    # two replications against the truth (1, 1, 2); every interval of the
+    # first and the x interval of the second end exactly at the truth
+    SPEC = SimulationSpec("C", "M2", n=10, reps=2, estimators=("mar",))
+    REPS = {"mar": {"theta": np.array([[1.5, 1.0, 1.0], [0.5, 2.0, 2.0]]),
+                    "ci_lo": np.array([[1.0, 0.0, 2.0], [0.0, 1.5, 1.0]]),
+                    "ci_hi": np.array([[2.0, 1.0, 3.0], [0.5, 2.5, 2.0]])}}
+
+    def test_metrics_derive_from_replications(self):
+        table = MetricsTable(self.SPEC, self.REPS)
+        assert [f.name for f in dataclasses.fields(table)] == \
+               ["spec", "replications", "excluded"]
+        got = {k: v.tolist() for k, v in table.metrics["mar"].items()}
+        assert got == {"bias": [0.0, 0.5, -0.5],
+                       "rmse": [0.5, math.sqrt(0.5), math.sqrt(0.5)],
+                       "ci_length": [0.75, 1.0, 1.0],
+                       "coverage": [0.5, 0.5, 1.0]}
+        assert list(got) == list(METRICS)
+        assert table.metrics is table.metrics
+        assert table.labels == REPORT_LABELS
+        with pytest.raises(ValueError):
+            table.theta_true[0] = 0.0
+
+    def test_csv_bytes_match_csv_writer(self):
+        table = MetricsTable(self.SPEC, self.REPS)
+        table.metrics["mar"]["bias"][:] = [-0.0, 5e-324, float("nan")]
+        table.metrics["mar"]["rmse"][:] = [float("inf"), 1e16, 1.0 / 3.0]
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["estimator", "coefficient", "metric", "value"])
+        for j, label in enumerate(REPORT_LABELS):
+            for metric in METRICS:
+                writer.writerow(["mar", label, metric,
+                                 repr(float(table.metrics["mar"][metric][j]))])
+        assert table.csv() == buf.getvalue()
