@@ -19,19 +19,18 @@ from .estimator import (QuantileFit, fit, fit_mar, fit_semiparametric_iv,
                         fit_uncorrected)
 from .first_stage import (FirstStageFit, WeightVector, cone_project,
                           estimate_unconstrained, moment_residual, weights)
-from .inference import (CovarianceEstimate, conditional_density,
-                        confidence_intervals, covariance, cv_bandwidths,
-                        default_bandwidths)
+from .inference import (conditional_density, confidence_intervals, covariance,
+                        cv_bandwidths, default_bandwidths)
 from .qr import (QuantileProblem, QuantileSolution, check_loss,
                  quantile_score, solve)
 from .simlab import GeneratedDataset, MetricsTable, SimulationSpec, generate, run
 
 __all__ = [
-    "BasisPlan", "ColumnMap", "CorrectedCDF", "CovarianceEstimate",
-    "DesignMatrices", "FirstStageFit", "GeneratedDataset", "InputError",
-    "KnotVector", "MetricsTable", "NumericalError", "ObservationSet",
-    "ProbitFit", "QuantileFit", "QuantileProblem", "QuantileSolution",
-    "SimulationSpec", "WeightVector", "build_designs", "check_loss",
+    "BasisPlan", "ColumnMap", "CorrectedCDF", "DesignMatrices",
+    "FirstStageFit", "GeneratedDataset", "InputError", "KnotVector",
+    "MetricsTable", "NumericalError", "ObservationSet", "ProbitFit",
+    "QuantileFit", "QuantileProblem", "QuantileSolution", "SimulationSpec",
+    "WeightVector", "build_designs", "check_loss",
     "conditional_density", "cone_project", "confidence_intervals",
     "corrected_cdf", "covariance", "cv_bandwidths", "default_bandwidths",
     "default_plan", "estimate_unconstrained", "eval_basis", "fit", "fit_mar",

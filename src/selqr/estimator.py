@@ -61,39 +61,31 @@ class QuantileFit:
 
 
 def _weighted_fit(data: ObservationSet, tau: float | Sequence[float], name: str,
-                  omega: np.ndarray, bandwidth_mode: str, diagnostics: dict,
-                  fs: first_stage.FirstStageFit | None = None
-                  ) -> QuantileFit | list[QuantileFit]:
-    """Weighted QR and plug-in covariance for weights omega.
+                  weights: first_stage.WeightVector, bandwidth_mode: str,
+                  diagnostics: dict) -> QuantileFit | list[QuantileFit]:
+    """Weighted QR and plug-in covariance for the given weights.
 
     tau is a float, which gives one QuantileFit, or a sequence of floats,
     which gives a list of fits in the same order (np.quantile's
     convention). Only the LP and the sandwich run per level: one
     `inference.covariance` call shares the bandwidths and the conditioning
-    kernel across all of them. With a first-stage fit fs the covariance
-    carries the first-stage correction; without one it is the weights-known
-    sandwich. Each fit's diagnostics gain the covariance's minimum eigenvalue
-    before the PSD clip, its count of floored density denominators and its
-    count of dropped conditioning dimensions.
+    kernel across all of them, and the weights supply its first-stage term.
+    Each fit's diagnostics gain the covariance's.
     """
     scalar = np.ndim(tau) == 0
     taus = [tau] if scalar else list(tau)
     Z, y = data.design_z(), data.y_filled(np.nan)
-    qsols = [solve(QuantileProblem(Z=Z, y=y, w=omega, tau=t)) for t in taus]
-    covs = inference.covariance(fs, qsols, data, omega=omega,
-                                bandwidth_mode=bandwidth_mode)
+    qsols = [solve(QuantileProblem(Z=Z, y=y, w=weights.omega, tau=t)) for t in taus]
+    covs = inference.covariance(qsols, data, weights, bandwidth_mode)
     labels = tuple(data.z_labels())
-    fits = [QuantileFit(tau=t, estimator=name, theta=qsol.theta,
-                        sigma=cov.sigma, se=cov.se, labels=labels,
-                        ci=inference.confidence_intervals(qsol.theta, cov.sigma,
+    fits = [QuantileFit(tau=t, estimator=name, theta=qsol.theta, sigma=sigma,
+                        se=np.sqrt(np.clip(np.diag(sigma), 0.0, None) / data.n),
+                        ci=inference.confidence_intervals(qsol.theta, sigma,
                                                           data.n, CI_LEVEL),
+                        labels=labels, qsol=qsol,
                         diagnostics={"n_selected": data.n_selected, **diagnostics,
-                                     "min_eigenvalue": cov.min_eigenvalue,
-                                     "density_floored": cov.density_floored,
-                                     "conditioning_dims_dropped":
-                                         cov.conditioning_dims_dropped},
-                        qsol=qsol)
-            for t, qsol, cov in zip(taus, qsols, covs)]
+                                     **cov_diagnostics})
+            for t, qsol, (sigma, cov_diagnostics) in zip(taus, qsols, covs)]
     return fits[0] if scalar else fits
 
 
@@ -110,15 +102,16 @@ def fit_semiparametric_iv(data: ObservationSet, tau: float | Sequence[float],
         "moment_residual_max": float(np.abs(first_stage.moment_residual(fs)).max()),
         "mean_weight": float(wv.omega[data.selected].mean()),
     }
-    return _weighted_fit(data, tau, "semiparametric_iv", wv.omega,
-                         bandwidth_mode, diagnostics, fs=fs)
+    return _weighted_fit(data, tau, "semiparametric_iv", wv, bandwidth_mode,
+                         diagnostics)
 
 
 def fit_uncorrected(data: ObservationSet, tau: float | Sequence[float],
                     bandwidth_mode: str = "rot") -> QuantileFit | list[QuantileFit]:
     """Complete-case QR: the weights are the selection dummies."""
     check_columns(data)
-    return _weighted_fit(data, tau, "uncorrected", data.d.astype(float),
+    return _weighted_fit(data, tau, "uncorrected",
+                         first_stage.WeightVector(data.d, data.selected),
                          bandwidth_mode, {})
 
 
@@ -134,7 +127,9 @@ def fit_mar(data: ObservationSet, tau: float | Sequence[float],
     check_columns(data)
     omega, probit = baselines.mar_weights(data)
     diagnostics = {"probit_iterations": 0 if probit is None else probit.iterations}
-    return _weighted_fit(data, tau, "mar", omega, bandwidth_mode, diagnostics)
+    return _weighted_fit(data, tau, "mar",
+                         first_stage.WeightVector(omega, data.selected),
+                         bandwidth_mode, diagnostics)
 
 
 def fit(data: ObservationSet, tau: float | Sequence[float],
@@ -151,13 +146,7 @@ def fit(data: ObservationSet, tau: float | Sequence[float],
     Every estimator takes `bandwidth_mode`. The only other keyword is
     `plan`, for semiparametric_iv.
     """
-    # the providers are looked up at call time, so rebinding a module
-    # attribute (as a tracer does) reaches every caller
-    if estimator == "semiparametric_iv":
-        return fit_semiparametric_iv(data, tau, **kwargs)
-    if estimator == "uncorrected":
-        return fit_uncorrected(data, tau, **kwargs)
-    if estimator == "mar":
-        return fit_mar(data, tau, **kwargs)
-    raise InputError(f"unknown estimator {estimator!r}; "
-                     f"choose from {ESTIMATOR_NAMES}")
+    check_names([estimator])
+    # looked up at call time, so rebinding a module attribute (as a tracer
+    # does) reaches every caller
+    return globals()[f"fit_{estimator}"](data, tau, **kwargs)

@@ -5,9 +5,10 @@ basis with the instrument basis as instruments, giving the unconstrained
 coefficient vector beta_u of g_u(y, x). `weights` turns the fit into
 per-observation weights D_i * max(g_u(Y_i, X_i), 1): the fitted values
 floored at one, i.e. the value vector projected onto the feasible orthant,
-untouched wherever the bound already holds. This is the one weighting rule;
-the first-stage-corrected covariance is derived for it and reads beta_u and
-the 2SLS influence matrix alone.
+untouched wherever the bound already holds. This is the one weighting rule.
+The weights carry their first-stage fit, and `WeightVector.correction` is
+the covariance's first-stage term. That term differentiates the unfloored
+g_u, not the floored weights (ROADMAP.md, item 3).
 
 `cone_project` is the audited constrained sieve fit: it projects the fitted
 function onto the cone of functions bounded below by one within the spline
@@ -51,17 +52,41 @@ class FirstStageFit:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Selection weights omega_i = D_i * g(Y_i, X_i)."""
+    """Selection weights omega_i = D_i * g(Y_i, X_i), with the first-stage
+    fit they were estimated from, or None for weights treated as known."""
 
     omega: np.ndarray
     selected: np.ndarray
+    first_stage: FirstStageFit | None = None
 
     def __post_init__(self):
-        self.omega.setflags(write=False)
-        if (self.omega[~self.selected] != 0).any():
+        # copy before freezing so a caller-owned array stays writable
+        omega = np.array(self.omega, dtype=float)
+        omega.setflags(write=False)
+        object.__setattr__(self, "omega", omega)
+        if omega.shape != np.shape(self.selected):
+            raise InputError(f"{omega.shape} weights for "
+                             f"{np.shape(self.selected)} selection flags")
+        if not np.isfinite(omega).all():
+            raise NumericalError("weights must be finite")
+        if (omega[~self.selected] != 0).any():
             raise NumericalError("weights must vanish exactly on unselected rows")
-        if (self.omega[self.selected] < 1.0 - FEASIBILITY_TOL).any():
+        if (omega[self.selected] < 1.0 - FEASIBILITY_TOL).any():
             raise NumericalError("selected-row weights must be >= 1")
+
+    def correction(self, psi: np.ndarray, Z: np.ndarray) -> np.ndarray | float:
+        """First-stage term T' influence b_i UJ_i of the influence function
+        at scores psi (zero off the selected rows), n x d_z; 0 for known
+        weights. T = E_n[phi_i Z_i' psi_i] differentiates the score for the
+        unfloored weights phi'beta, not max(phi'beta, 1) (ROADMAP.md, item 3),
+        and UJ_i = 1 - phi_i' beta_u is the first-stage residual."""
+        fs = self.first_stage
+        if fs is None:
+            return 0.0
+        T_hat = (fs.designs.phi * psi[:, None]).T @ Z / len(psi)
+        P = T_hat.T @ fs.influence                   # d_z x K
+        Uj = 1.0 - fs.designs.phi @ fs.beta_u
+        return (fs.designs.b @ P.T) * Uj[:, None]
 
 
 def _solve_spd(M: np.ndarray, rhs: np.ndarray):
@@ -182,4 +207,4 @@ def weights(fit: FirstStageFit, data: ObservationSet) -> WeightVector:
     """Observation weights omega_i = D_i * max(g_u(Y_i, X_i), 1)."""
     omega = np.zeros(data.n)
     omega[data.selected] = np.maximum(fit.designs.phi[data.selected] @ fit.beta_u, 1.0)
-    return WeightVector(omega=omega, selected=data.selected)
+    return WeightVector(omega, data.selected, fit)

@@ -5,12 +5,12 @@ first-stage correction term. Its second moment, bracketed by the inverse
 density-weighted design matrix, is estimated by sample analogs:
 
     M1 = E_n[ omega_i f_i Z_i Z_i' ]
-    M0_i = Z_i omega_i psi_tau(u_i) + T' (H G^-1 H')^-1 H G^-1 b_i UJ_i
+    M0_i = Z_i omega_i psi_tau(u_i) + C_i
     Sigma = M1^-1 E_n[ M0_i M0_i' ] M1^-1
 
 with f_i a kernel estimate of the conditional density of the outcome given
-(omega, Z) at the fitted quantile, T = E_n[phi_i D_i Z_i' psi_tau(u_i)] and
-UJ_i = 1 - D_i phi_i' beta_u the first-stage residual.
+(omega, Z) at the fitted quantile and C_i the first-stage term of the
+weights, `WeightVector.correction`, which is zero for known weights.
 
 The density and the LSCV bandwidth search write each product Gaussian
 kernel as a constant times exp(-S), S a squared distance between bandwidth-
@@ -21,7 +21,6 @@ multiply row sums, so a row pair costs one exponential per kernel.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +28,7 @@ from scipy.special import ndtri
 
 from .data import ObservationSet
 from .errors import InputError, NumericalError
-from .first_stage import FirstStageFit
+from .first_stage import WeightVector
 from .qr import QuantileSolution, quantile_score
 
 DENSITY_FLOOR = 1e-12
@@ -179,17 +178,6 @@ def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths):
     return out.reshape(y_eval.shape), floored
 
 
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    """Asymptotic covariance of sqrt(n)(theta_hat - theta)."""
-
-    sigma: np.ndarray
-    se: np.ndarray              # sqrt(diag(sigma) / n)
-    min_eigenvalue: float       # before PSD clipping
-    density_floored: int        # rows whose density denominator was floored
-    conditioning_dims_dropped: int   # near-constant columns of (omega, Z)
-
-
 def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
     """Normal-quantile intervals theta_k +/- z * sqrt(sigma_kk / n) at any
     level; every fit carries them at estimator.CI_LEVEL."""
@@ -201,29 +189,26 @@ def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
     return np.column_stack([theta - half, theta + half])
 
 
-def covariance(fit: FirstStageFit | None, qsols: Sequence[QuantileSolution],
-               data: ObservationSet, omega: np.ndarray,
-               bandwidth_mode: str = "rot") -> list[CovarianceEstimate]:
+def covariance(qsols: Sequence[QuantileSolution], data: ObservationSet,
+               weights: WeightVector, bandwidth_mode: str = "rot"
+               ) -> list[tuple[np.ndarray, dict]]:
     """Plug-in covariance for weighted quantile fits at one level or several.
 
-    qsols are solutions fitted with the same weights omega; the estimates
-    come back in the same order. What does not depend on the level is
-    formed once for all of them: the conditioning data and its dropped
-    dimensions, the bandwidths, the first-stage residual, and the
-    conditioning kernel of one `conditional_density` call. Only the scores,
-    the density-weighted design and the sandwich are formed per level. The
-    first-stage term reads fit.influence, (H G^-1 H')^-1 H G^-1.
-
-    With fit=None the first-stage correction term is dropped and the
-    estimate reduces to the weights-known sandwich; this is the mode used
-    for comparator estimators whose weights are treated as fixed.
+    qsols are solutions fitted with the same weights. Each level gives
+    (sigma, diagnostics), in order: sigma estimates the covariance of
+    sqrt(n)(theta_hat - theta), and the diagnostics are its minimum
+    eigenvalue before the PSD clip and the counts of floored density
+    denominators and of dropped near-constant columns of (omega, Z). The
+    conditioning data, bandwidths and kernel are formed once for all
+    levels; the scores, `weights.correction`, the density-weighted design
+    and the sandwich per level.
     """
     if not qsols:
         raise InputError("need at least one quantile level")
     Z = data.design_z()
     n = data.n
     sel = data.selected
-    omega = np.asarray(omega, dtype=float)
+    omega = weights.omega
 
     # conditional density of the outcome given (omega, Z) on selected rows;
     # near-constant conditioning dimensions carry no kernel information and
@@ -243,8 +228,8 @@ def covariance(fit: FirstStageFit | None, qsols: Sequence[QuantileSolution],
     fitted = [Z @ q.theta for q in qsols]
     f_sel, floored = conditional_density(
         y_sel, cond, np.array([f[sel] for f in fitted]), cond, bw)
-    if fit is not None:
-        Uj = 1.0 - fit.designs.phi @ fit.beta_u
+    diagnostics = {"density_floored": int(floored.sum()),
+                   "conditioning_dims_dropped": int((~keep_dims).sum())}
 
     estimates = []
     for q, fitted_q, f_q in zip(qsols, fitted, f_sel):
@@ -262,12 +247,7 @@ def covariance(fit: FirstStageFit | None, qsols: Sequence[QuantileSolution],
         except np.linalg.LinAlgError:
             raise NumericalError("density-weighted design singular")
 
-        M0 = Z * (omega * psi)[:, None]
-        if fit is not None:
-            T_hat = (fit.designs.phi * psi[:, None]).T @ Z / n
-            P = T_hat.T @ fit.influence                   # d_z x K
-            M0 = M0 + (fit.designs.b @ P.T) * Uj[:, None]
-
+        M0 = Z * (omega * psi)[:, None] + weights.correction(psi, Z)
         S = M0.T @ M0 / n
         M1inv_S = scipy.linalg.cho_solve(M1_factor, S)
         sigma = scipy.linalg.cho_solve(M1_factor, M1inv_S.T).T
@@ -277,10 +257,5 @@ def covariance(fit: FirstStageFit | None, qsols: Sequence[QuantileSolution],
         if min_eig < 0.0:
             sigma = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
             sigma = 0.5 * (sigma + sigma.T)
-
-        se = np.sqrt(np.clip(np.diag(sigma), 0.0, None) / n)
-        estimates.append(CovarianceEstimate(
-            sigma=sigma, se=se, min_eigenvalue=min_eig,
-            density_floored=int(floored.sum()),
-            conditioning_dims_dropped=int((~keep_dims).sum())))
+        estimates.append((sigma, {"min_eigenvalue": min_eig, **diagnostics}))
     return estimates

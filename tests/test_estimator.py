@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -210,3 +212,20 @@ def test_tau_sequence_builds_weights_and_bandwidths_once(dataset_m2, monkeypatch
         assert {k: calls[k] - before[k] for k in calls} == want
     with pytest.raises(InputError, match="at least one"):
         fit(data, [], "uncorrected")
+
+
+@pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+def test_fit_memory_grows_linearly_in_n(name):
+    # doubling n at most about doubles the traced peak; an n x n temporary
+    # would quadruple it
+    peaks = []
+    for n in (2000, 4000):
+        data = generate(SimulationSpec("C", "M2", n=n, reps=1, seed=11), 0).data
+        tracemalloc.start()
+        try:
+            fit(data, [0.25, 0.5, 0.75], name, bandwidth_mode="rot")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 2.2 * peaks[0]

@@ -1,11 +1,13 @@
 import dataclasses
 
 import numpy as np
+import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
-from selqr import (SimulationSpec, cone_project, default_plan,
-                   estimate_unconstrained, generate, moment_residual, weights)
+from selqr import (InputError, NumericalError, SimulationSpec, WeightVector,
+                   cone_project, default_plan, estimate_unconstrained, generate,
+                   moment_residual, weights)
 from selqr.activeset import kkt_residuals, solve_qp
 from oracles import enumerate_qp
 from conftest import toy_data
@@ -173,3 +175,19 @@ class TestWeights:
         wv = weights(fit, gd.data)
         mean_w = wv.omega[gd.data.selected].mean()
         assert abs(mean_w - gd.data.n / gd.data.n_selected) < 0.1 * mean_w
+
+    def test_weight_vector_copies_caller_array(self):
+        omega = np.array([1.0, 0.0, 2.5])
+        wv = WeightVector(omega, np.array([True, False, True]))
+        omega[0] = 7.0                  # the caller's array stays writable
+        assert wv.omega.tolist() == [1.0, 0.0, 2.5]
+        assert not wv.omega.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weight_vector_rejects_non_finite_weight(self, bad):
+        with pytest.raises(NumericalError, match="finite"):
+            WeightVector(np.array([1.0, 0.0, bad]), np.array([True, False, True]))
+
+    def test_weight_vector_rejects_length_mismatch(self):
+        with pytest.raises(InputError, match="selection flags"):
+            WeightVector(np.ones(3), np.ones(4, dtype=bool))

@@ -13,7 +13,7 @@ from selqr.baselines import mar_weights
 from selqr.estimator import (ESTIMATOR_NAMES, fit, fit_semiparametric_iv,
                              fit_uncorrected)
 from selqr.inference import BLOCK_ROWS
-from selqr.first_stage import cone_project, estimate_unconstrained
+from selqr.first_stage import WeightVector, cone_project, estimate_unconstrained
 from selqr.qr import quantile_score
 from selqr.simlab import SimulationSpec, generate
 from conftest import toy_data
@@ -230,7 +230,7 @@ class TestCovariance:
         Z = data.design_z()
         omega = np.ones(data.n)
         qsol = solve(QuantileProblem(Z=Z, y=data.y, w=omega, tau=0.5))
-        cov = covariance(None, [qsol], data, omega=omega)[0]
+        sigma, _ = covariance([qsol], data, WeightVector(omega, data.selected))[0]
 
         cond = Z[:, 1:]                 # intercept and omega dims are constant
         kd = np.column_stack([data.y, cond])
@@ -240,7 +240,7 @@ class TestCovariance:
         M1 = (Z * f[:, None]).T @ Z / data.n
         S = (Z * psi[:, None]).T @ (Z * psi[:, None]) / data.n
         direct = np.linalg.inv(M1) @ S @ np.linalg.inv(M1)
-        assert_allclose(cov.sigma, 0.5 * (direct + direct.T), atol=1e-8)
+        assert_allclose(sigma, 0.5 * (direct + direct.T), atol=1e-8)
 
     def test_se_ignores_rounding_sign_at_interpolated_rows(self, data_mnar):
         # the rows the LP interpolates score tau whichever side of zero
@@ -256,9 +256,10 @@ class TestCovariance:
         assert (resid < 0).all() and (resid > -1e-12).all()
         nudged = dataclasses.replace(qsol, theta=theta)
         for fs in (None, cone_project(estimate_unconstrained(data), data)):
-            se = covariance(fs, [qsol], data, omega=omega)[0].se
-            assert_allclose(covariance(fs, [nudged], data, omega=omega)[0].se, se,
-                            rtol=1e-10)
+            wv = WeightVector(omega, data.selected, fs)
+            se, nudged_se = (np.sqrt(np.diag(covariance([q], data, wv)[0][0]) / data.n)
+                             for q in (qsol, nudged))
+            assert_allclose(nudged_se, se, rtol=1e-10)
 
     def test_sigma_symmetric_psd(self, dataset_m2):
         qf = fit_semiparametric_iv(dataset_m2.data, 0.5)
@@ -272,8 +273,8 @@ class TestCovariance:
         wv = weights(fit, data)
         qsol = solve(QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan),
                                      w=wv.omega, tau=0.5))
-        cov = covariance(fit, [qsol], data, omega=wv.omega)[0]
-        assert cov.min_eigenvalue >= -1e-10
+        _, diagnostics = covariance([qsol], data, wv)[0]
+        assert diagnostics["min_eigenvalue"] >= -1e-10
 
     def test_correction_vanishes_with_perfect_first_stage(self, data_full):
         # with everyone selected the first-stage residual is identically zero
@@ -283,9 +284,9 @@ class TestCovariance:
         omega = np.ones(data.n)
         qsol = solve(QuantileProblem(Z=data.design_z(), y=data.y,
                                      w=omega, tau=0.5))
-        with_corr = covariance(fit, [qsol], data, omega=omega)[0]
-        without = covariance(None, [qsol], data, omega=omega)[0]
-        assert_allclose(with_corr.sigma, without.sigma, atol=1e-8)
+        with_corr, _ = covariance([qsol], data, WeightVector(omega, data.selected, fit))[0]
+        without, _ = covariance([qsol], data, WeightVector(omega, data.selected))[0]
+        assert_allclose(with_corr, without, atol=1e-8)
 
     def test_ci_length_root_n_rate(self):
         lengths = []
