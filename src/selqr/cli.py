@@ -20,6 +20,7 @@ from . import __version__, distribution, estimator, first_stage, simlab
 from .basis import BasisPlan, default_plan
 from .data import ColumnMap, ingest_csv
 from .errors import InputError, NumericalError
+from .inference import BANDWIDTH_MODES
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,8 @@ class RunConfig:
             raise InputError("every tau must lie strictly inside (0, 1)")
         if min(self.y_interior_knots, self.w_interior_knots) < 0:
             raise InputError("interior knot counts must be >= 0")
-        if self.bandwidth_mode not in ("rot", "cv"):
-            raise InputError("bandwidth mode must be 'rot' or 'cv'")
+        if self.bandwidth_mode not in BANDWIDTH_MODES:
+            raise InputError(f"bandwidth mode must be one of {BANDWIDTH_MODES}")
         estimator.check_names(self.estimators)
 
     def to_dict(self) -> dict:
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of "
                             "uncorrected,mar,semiparametric_iv")
     _add_basis_flags(p_fit)
-    p_fit.add_argument("--bandwidth-mode", choices=("rot", "cv"),
+    p_fit.add_argument("--bandwidth-mode", choices=BANDWIDTH_MODES,
                        default=RunConfig.bandwidth_mode)
     p_fit.add_argument("--out", help="report JSON path (default: stdout)")
 

@@ -7,8 +7,8 @@ per-observation weights D_i * max(g_u(Y_i, X_i), 1): the fitted values
 floored at one, i.e. the value vector projected onto the feasible orthant,
 untouched wherever the bound already holds. This is the one weighting rule.
 The weights carry their first-stage fit, and `WeightVector.correction` is
-the covariance's first-stage term. That term differentiates the unfloored
-g_u, not the floored weights (ROADMAP.md, item 3).
+the covariance's first-stage term. That term differentiates these floored
+weights: only rows above the floor move with beta.
 
 `cone_project` is the audited constrained sieve fit: it projects the fitted
 function onto the cone of functions bounded below by one within the spline
@@ -64,6 +64,8 @@ class WeightVector:
         omega = np.array(self.omega, dtype=float)
         omega.setflags(write=False)
         object.__setattr__(self, "omega", omega)
+        if np.asarray(self.selected).dtype != bool:
+            raise InputError("selection flags must be boolean")
         if omega.shape != np.shape(self.selected):
             raise InputError(f"{omega.shape} weights for "
                              f"{np.shape(self.selected)} selection flags")
@@ -77,13 +79,16 @@ class WeightVector:
     def correction(self, psi: np.ndarray, Z: np.ndarray) -> np.ndarray | float:
         """First-stage term T' influence b_i UJ_i of the influence function
         at scores psi (zero off the selected rows), n x d_z; 0 for known
-        weights. T = E_n[phi_i Z_i' psi_i] differentiates the score for the
-        unfloored weights phi'beta, not max(phi'beta, 1) (ROADMAP.md, item 3),
-        and UJ_i = 1 - phi_i' beta_u is the first-stage residual."""
+        weights. It is derived for the weights `weights` builds, D_i *
+        max(phi_i' beta, 1), whose beta-derivative is D_i 1{omega_i > 1}
+        phi_i: T = E_n[1{omega_i > 1} phi_i Z_i' psi_i] is the derivative of
+        the weighted score E_n[omega_i(beta) Z_i psi_i]. UJ_i = 1 - phi_i'
+        beta_u is the first-stage residual."""
         fs = self.first_stage
         if fs is None:
             return 0.0
-        T_hat = (fs.designs.phi * psi[:, None]).T @ Z / len(psi)
+        moving = np.where(self.omega > 1.0, psi, 0.0)
+        T_hat = (fs.designs.phi * moving[:, None]).T @ Z / len(psi)
         P = T_hat.T @ fs.influence                   # d_z x K
         Uj = 1.0 - fs.designs.phi @ fs.beta_u
         return (fs.designs.b @ P.T) * Uj[:, None]

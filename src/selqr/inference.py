@@ -31,8 +31,7 @@ from .errors import InputError, NumericalError
 from .first_stage import WeightVector
 from .qr import QuantileSolution, quantile_score
 
-DENSITY_FLOOR = 1e-12
-CONSTANT_DIM_TOL = 1e-8
+BANDWIDTH_MODES = ("rot", "cv")   # rule of thumb, or its LSCV refinement
 BLOCK_ROWS = 64          # rows per kernel block: two 64 x 1000 blocks are 1 MB
 CV_MULTIPLIERS = np.linspace(0.3, 2.0, 12)   # LSCV grid of rule-of-thumb scales
 CV_MAX_ROWS = 2000       # LSCV subsamples larger kernel data to this many rows
@@ -50,13 +49,13 @@ def default_bandwidths(V: np.ndarray) -> np.ndarray:
     return 1.06 * sd * m ** (-1.0 / (4 + d_total))
 
 
-def _sq_dist_blocks(a: np.ndarray, b: np.ndarray):
+def _sq_dist_blocks(a: np.ndarray):
     """Yield (rows, S, work) for each block of BLOCK_ROWS rows of a (m x D):
-    S_ij = sum_d (a_id - b_jd)^2 for the block's rows i and every row j of
-    b (n x D), and a scratch array of S's shape. S and work are views of
-    two BLOCK_ROWS x n buffers that the next block overwrites."""
-    b = np.asfortranarray(b)          # each column of b is read contiguously
-    s_buf, work_buf = np.empty((2, min(BLOCK_ROWS, len(a)), len(b)))
+    S_ij = sum_d (a_id - a_jd)^2 for the block's rows i and every row j of
+    a, and a scratch array of S's shape. S and work are views of two
+    BLOCK_ROWS x m buffers that the next block overwrites."""
+    a_cols = np.asfortranarray(a)     # each column of a is read contiguously
+    s_buf, work_buf = np.empty((2, min(BLOCK_ROWS, len(a)), len(a)))
     for lo in range(0, len(a), BLOCK_ROWS):
         block = a[lo:lo + BLOCK_ROWS]
         s, work = s_buf[:len(block)], work_buf[:len(block)]
@@ -64,7 +63,7 @@ def _sq_dist_blocks(a: np.ndarray, b: np.ndarray):
             s.fill(0.0)
         for d in range(a.shape[1]):
             diff = work if d else s
-            np.subtract(block[:, d, None], b[None, :, d], out=diff)
+            np.subtract(block[:, d, None], a_cols[None, :, d], out=diff)
             np.square(diff, out=diff)
             if d:
                 s += diff
@@ -98,7 +97,7 @@ def cv_bandwidths(V: np.ndarray) -> np.ndarray:
     U = V / h0
     m, n_dims = U.shape
     sum_e, sum_e_sq = np.zeros((2, len(CV_MULTIPLIERS)))
-    for _, s, e in _sq_dist_blocks(U, U):
+    for _, s, e in _sq_dist_blocks(U):
         for i, c in enumerate(CV_MULTIPLIERS):
             np.multiply(s, -0.25 / c**2, out=e)
             np.exp(e, out=e)
@@ -116,66 +115,59 @@ def cv_bandwidths(V: np.ndarray) -> np.ndarray:
     return best * h0
 
 
-def conditional_density(y_obs, v_obs, y_eval, v_eval, bandwidths):
-    """Nadaraya-Watson conditional density with product Gaussian kernels.
+def conditional_density(y, v, levels, bandwidths):
+    """Nadaraya-Watson conditional density with product Gaussian kernels,
+    evaluated at the sample's own rows:
 
-    f(y | v) = sum_j K_h0(y - y_j) prod_d K_hd(v_d - v_jd)
-               / sum_j prod_d K_hd(v_d - v_jd)
+    f_li = sum_j K_h0(levels_li - y_j) prod_d K_hd(v_id - v_jd)
+           / sum_j prod_d K_hd(v_id - v_jd)
 
     bandwidths[0] belongs to the outcome kernel, the rest to the columns of
-    v. v may have zero columns (plain KDE). y_eval has shape (n_eval,), or
-    (k, n_eval) for k sets of outcomes evaluated at the same n_eval rows of
-    v_eval. Returns (density values, shaped like y_eval; boolean mask of
-    the n_eval rows whose denominator hit the 1e-12 floor, which does not
-    depend on y).
+    v (n x D, D may be 0: plain KDE). levels has shape (k, n): k outcome
+    values per row, each evaluated at that row's v. Returns an array of
+    levels' shape.
 
-    With t = y / (sqrt(2) h0) and u = v / (sqrt(2) h), the kernels of a row
-    pair are c_v exp(-S_ij), S_ij = sum_d (u_id - u_jd)^2, and one
-    c_y exp(-(t_i - t_j)^2) per level, with c_v = (2 pi)^(-D/2) / prod(h)
-    and c_y = 1 / (sqrt(2 pi) h0) applied to the row sums: a pair costs
-    1 + k exponentials, and c_v cancels except in a floored denominator.
-    Values match products of scipy.stats.norm.pdf kernels to about 1e-13
-    relative, with the same floor mask and exact zeros, not bit for bit.
+    With t = y / (sqrt(2) h0) and u = v / (sqrt(2) h), the conditioning
+    kernel of a row pair is prod(h)^-1 (2 pi)^(-D/2) exp(-S_ij), S_ij =
+    sum_d (u_id - u_jd)^2, and its constant cancels in the ratio. The
+    outcome kernel is c_y exp(-(t_l - t_j)^2) per level, c_y = 1 /
+    (sqrt(2 pi) h0) applied to the row sum: a pair costs 1 + k
+    exponentials. Row i's denominator holds its own term exp(-S_ii) = 1,
+    so it is at least one and needs no floor, in any units of v. Values
+    match products of scipy.stats.norm.pdf kernels to about 1e-13
+    relative, with the same exact zeros, not bit for bit.
 
-    Evaluations run in blocks of BLOCK_ROWS rows through two
-    BLOCK_ROWS x n_obs buffers, whatever k is. Each block builds the
-    conditioning kernel once, then the outcome kernel of each level, so
-    every value equals that of a one-dimensional call at any BLOCK_ROWS.
+    Rows run in blocks of BLOCK_ROWS through two BLOCK_ROWS x n buffers,
+    whatever k is. Each block builds the conditioning kernel once, then
+    the outcome kernel of each level, so every value equals that of a
+    one-level call at any BLOCK_ROWS.
     """
-    y_obs = np.asarray(y_obs, dtype=float)
-    y_eval = np.asarray(y_eval, dtype=float)
-    if y_eval.ndim not in (1, 2):
-        raise InputError("y_eval must have shape (n_eval,) or (k, n_eval)")
-    levels = np.atleast_2d(y_eval)
-    n_eval = levels.shape[1]
-    v_obs = np.asarray(v_obs, dtype=float).reshape(len(y_obs), -1)
-    v_eval = np.asarray(v_eval, dtype=float).reshape(n_eval, -1)
+    y = np.asarray(y, dtype=float)
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 2 or levels.shape[1] != len(y):
+        raise InputError(f"levels must have shape (k, {len(y)})")
+    v = np.asarray(v, dtype=float).reshape(len(y), -1)
     bandwidths = np.asarray(bandwidths, dtype=float)
     if (bandwidths <= 0).any():
         raise InputError("bandwidths must be positive")
-    if len(bandwidths) != 1 + v_obs.shape[1]:
+    if len(bandwidths) != 1 + v.shape[1]:
         raise InputError("need one bandwidth for y plus one per conditioning column")
 
     out = np.empty(levels.shape)
-    floored = np.zeros(n_eval, dtype=bool)
     h0, hv = bandwidths[0], bandwidths[1:]
-    c_v = (2 * np.pi) ** (-len(hv) / 2) / np.prod(hv)
     c_y = 1.0 / (np.sqrt(2 * np.pi) * h0)
-    t_obs, t_levels = y_obs / (np.sqrt(2) * h0), levels / (np.sqrt(2) * h0)
-    u_obs, u_eval = v_obs / (np.sqrt(2) * hv), v_eval / (np.sqrt(2) * hv)
-    for sl, kv, work in _sq_dist_blocks(u_eval, u_obs):
+    t, t_levels = y / (np.sqrt(2) * h0), levels / (np.sqrt(2) * h0)
+    for sl, kv, work in _sq_dist_blocks(v / (np.sqrt(2) * hv)):
         np.negative(kv, out=kv)
         np.exp(kv, out=kv)
         den = kv.sum(axis=1)
-        floored[sl] = c_v * den < DENSITY_FLOOR
-        den[floored[sl]] = DENSITY_FLOOR / c_v
         for t_level, out_level in zip(t_levels, out):
-            np.subtract(t_level[sl, None], t_obs[None, :], out=work)
+            np.subtract(t_level[sl, None], t[None, :], out=work)
             np.square(work, out=work)
             np.negative(work, out=work)
             np.exp(work, out=work)
             out_level[sl] = c_y * np.einsum("ij,ij->i", work, kv) / den
-    return out.reshape(y_eval.shape), floored
+    return out
 
 
 def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
@@ -197,11 +189,11 @@ def covariance(qsols: Sequence[QuantileSolution], data: ObservationSet,
     qsols are solutions fitted with the same weights. Each level gives
     (sigma, diagnostics), in order: sigma estimates the covariance of
     sqrt(n)(theta_hat - theta), and the diagnostics are its minimum
-    eigenvalue before the PSD clip and the counts of floored density
-    denominators and of dropped near-constant columns of (omega, Z). The
-    conditioning data, bandwidths and kernel are formed once for all
-    levels; the scores, `weights.correction`, the density-weighted design
-    and the sandwich per level.
+    eigenvalue before the PSD clip and the count of dropped constant
+    columns of (omega, Z). The conditioning data, bandwidths and kernel are
+    formed once for all levels; the scores, `weights.correction`, the
+    density-weighted design and the sandwich per level. bandwidth_mode is
+    one of BANDWIDTH_MODES.
     """
     if not qsols:
         raise InputError("need at least one quantile level")
@@ -211,10 +203,10 @@ def covariance(qsols: Sequence[QuantileSolution], data: ObservationSet,
     omega = weights.omega
 
     # conditional density of the outcome given (omega, Z) on selected rows;
-    # near-constant conditioning dimensions carry no kernel information and
-    # are dropped (the intercept column always is)
+    # constant conditioning dimensions carry no kernel information and are
+    # dropped (the intercept column always is)
     cond = np.column_stack([omega, Z])[sel]
-    keep_dims = cond.std(axis=0) > CONSTANT_DIM_TOL
+    keep_dims = ~(cond == cond[0]).all(axis=0)
     cond = cond[:, keep_dims]
     y_sel = data.y[sel]
     kernel_data = np.column_stack([y_sel, cond])
@@ -226,10 +218,8 @@ def covariance(qsols: Sequence[QuantileSolution], data: ObservationSet,
         raise InputError(f"unknown bandwidth mode {bandwidth_mode!r}")
     y_filled = data.y_filled()
     fitted = [Z @ q.theta for q in qsols]
-    f_sel, floored = conditional_density(
-        y_sel, cond, np.array([f[sel] for f in fitted]), cond, bw)
-    diagnostics = {"density_floored": int(floored.sum()),
-                   "conditioning_dims_dropped": int((~keep_dims).sum())}
+    f_sel = conditional_density(y_sel, cond, np.array([f[sel] for f in fitted]), bw)
+    diagnostics = {"conditioning_dims_dropped": int((~keep_dims).sum())}
 
     estimates = []
     for q, fitted_q, f_q in zip(qsols, fitted, f_sel):

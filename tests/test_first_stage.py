@@ -5,10 +5,12 @@ import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
-from selqr import (InputError, NumericalError, SimulationSpec, WeightVector,
-                   cone_project, default_plan, estimate_unconstrained, generate,
-                   moment_residual, weights)
+from selqr import (InputError, NumericalError, QuantileProblem, SimulationSpec,
+                   WeightVector, cone_project, default_plan,
+                   estimate_unconstrained, generate, moment_residual, solve,
+                   weights)
 from selqr.activeset import kkt_residuals, solve_qp
+from selqr.qr import quantile_score
 from oracles import enumerate_qp
 from conftest import toy_data
 
@@ -191,3 +193,40 @@ class TestWeights:
     def test_weight_vector_rejects_length_mismatch(self):
         with pytest.raises(InputError, match="selection flags"):
             WeightVector(np.ones(3), np.ones(4, dtype=bool))
+
+    @pytest.mark.parametrize("flags", [np.array([1, 0, 0]), np.array([1.0, 0.0, 0.0])])
+    def test_weight_vector_rejects_non_boolean_flags(self, flags):
+        # 0/1 flags such as ObservationSet.d would index omega, not mask it
+        with pytest.raises(InputError, match="boolean"):
+            WeightVector(np.array([2.0, 0.0, 0.0]), flags)
+
+    def test_correction_differentiates_the_weights_in_use(self):
+        # at fixed theta_hat the weighted score s(beta) = E_n[omega(beta) Z psi],
+        # omega(beta) = D max(phi' beta, 1), is piecewise linear in beta with
+        # kinks where a selected row's g_u crosses one. Central differences
+        # whose steps move no row's g_u by more than half its distance from
+        # one cross no kink, so they give the Jacobian T to rounding, and
+        # correction(psi, Z) must equal T' influence b_i UJ_i built from it
+        data = generate(SimulationSpec("C", "M2", n=4000, reps=1, seed=7), 0).data
+        fs = estimate_unconstrained(data)
+        wv = weights(fs, data)
+        sel, phi, Z = data.selected, fs.designs.phi, data.design_z()
+        g = phi[sel] @ fs.beta_u
+        assert (g > 1).any() and (g < 1).any()      # the floor binds on some rows
+        gap = np.abs(g - 1.0).min()
+        qsol = solve(QuantileProblem(Z=Z, y=data.y_filled(np.nan), w=wv.omega, tau=0.5))
+        psi = np.where(sel, quantile_score(data.y_filled() - Z @ qsol.theta, 0.5), 0.0)
+
+        def score(beta):
+            omega = np.zeros(data.n)
+            omega[sel] = np.maximum(phi[sel] @ beta, 1.0)
+            return Z.T @ (omega * psi) / data.n
+
+        T = np.empty((len(fs.beta_u), Z.shape[1]))
+        for k, e in enumerate(np.eye(len(fs.beta_u))):
+            step = 0.5 * gap / max(np.abs(phi[sel, k]).max(), 1.0)
+            T[k] = (score(fs.beta_u + step * e) - score(fs.beta_u - step * e)) / (2 * step)
+        Uj = 1.0 - phi @ fs.beta_u
+        expected = (fs.designs.b @ (T.T @ fs.influence).T) * Uj[:, None]
+        assert_allclose(wv.correction(psi, Z), expected, rtol=0,
+                        atol=1e-8 * np.abs(expected).max())

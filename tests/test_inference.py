@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtri
 
 from selqr import (InputError, QuantileProblem, conditional_density,
                    confidence_intervals, covariance, cv_bandwidths,
@@ -41,99 +42,92 @@ class TestDefaultBandwidths:
 
 class TestConditionalDensity:
     def test_standard_normal_marginal(self):
-        rng = np.random.default_rng(3)
-        y = rng.standard_normal(50000)
-        v = np.zeros((50000, 0))       # no conditioning variation
+        # evenly spaced standard normal quantiles: every row's density at 0
+        # is the smoothed N(0, 1 + h^2) density there, with no sampling noise
+        n = 8000
+        y = ndtri((np.arange(n) + 0.5) / n)
+        v = np.zeros((n, 0))           # no conditioning variation
         h = default_bandwidths(y.reshape(-1, 1))
-        f, floored = conditional_density(y, v, np.array([0.0]),
-                                         np.zeros((1, 0)), h)
-        assert abs(f[0] - 0.3989) < 0.01
-        assert not floored.any()
+        f = conditional_density(y, v, np.zeros((1, n)), h)
+        assert np.abs(f - 0.3989).max() < 0.01
 
     def test_integrates_to_one(self):
+        # each row's density, at its own v, integrated over a grid of levels
         rng = np.random.default_rng(4)
-        y = rng.standard_normal(2000)
-        v = (0.5 * y + rng.standard_normal(2000)).reshape(-1, 1)
+        y = rng.standard_normal(400)
+        v = (0.5 * y + rng.standard_normal(400)).reshape(-1, 1)
         h = default_bandwidths(np.column_stack([y, v]))
-        grid = np.linspace(-8, 8, 1601)
-        f, _ = conditional_density(y, v, grid, np.full((len(grid), 1), 0.3), h)
+        grid = np.linspace(-8, 8, 161)
+        f = conditional_density(y, v, np.repeat(grid[:, None], len(y), axis=1), h)
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
-        integral = trapezoid(f, grid)
-        assert abs(integral - 1.0) < 1e-3
+        integral = trapezoid(f, grid, axis=0)
+        assert np.abs(integral - 1.0).max() < 1e-3
 
     def test_zero_bandwidth_errors(self):
         with pytest.raises(InputError, match="positive"):
             conditional_density(np.arange(5.0), np.zeros((5, 0)),
-                                np.array([0.0]), np.zeros((1, 0)), [0.0])
+                                np.zeros((1, 5)), [0.0])
 
 
 class TestKernelExactness:
     """The kernels against scipy norm.pdf references. The LSCV bandwidths
     match bit for bit. The density applies its kernel constants to row sums,
-    so it matches to rounding, with the same floor mask and exact zeros."""
+    so it matches to rounding, with the same exact zeros."""
 
     @staticmethod
-    def assert_matches_oracle(f, floored, f_ref, floored_ref):
-        assert np.array_equal(floored, floored_ref)
+    def sample(seed, d, k):
+        # 700 = 10 * 64 + 60 rows leave a short last block; the first 20
+        # rows, moved 25 times further out in v, have few or no neighbours
+        # there, and levels far off the outcomes drive kernels to underflow
+        # and some values to exact zeros
+        rng = np.random.default_rng(seed)
+        y = 2.0 * rng.standard_normal(700)
+        v = rng.standard_normal((700, d))
+        h = default_bandwidths(np.column_stack([y, v]))
+        v[:20] *= 25.0
+        levels = y + 6.0 * rng.standard_normal((k, 700))
+        levels[:, 20:30] += 200.0
+        return y, v, levels, h
+
+    @staticmethod
+    def assert_matches_oracle(f, f_ref):
         assert np.array_equal(f == 0, f_ref == 0)
-        assert_allclose(f[..., ~floored], f_ref[..., ~floored], rtol=1e-12, atol=0)
+        assert_allclose(f, f_ref, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def oracle(y, v, level, h):
+        return conditional_density_reference(y, v, level, v, h, chunk=128)[0]
 
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_conditional_density_matches_oracle(self, d):
-        rng = np.random.default_rng(20 + d)
-        y = 2.0 * rng.standard_normal(700)
-        v = rng.standard_normal((700, d))
-        h = default_bandwidths(np.column_stack([y, v]))
-        # 300 = 4 * 64 + 44 evaluations leave a short last block; the
-        # wide spread drives some kernels to underflow and some
-        # denominators to the floor
-        y_eval = 6.0 * rng.standard_normal(300)
-        v_eval = 6.0 * rng.standard_normal((300, d))
-        f, floored = conditional_density(y, v, y_eval, v_eval, h)
-        self.assert_matches_oracle(f, floored, *conditional_density_reference(
-            y, v, y_eval, v_eval, h, chunk=128))
-        if d:
-            assert floored.any() and not floored.all() and (f == 0).any()
+        y, v, levels, h = self.sample(20 + d, d, 1)
+        f = conditional_density(y, v, levels, h)
+        self.assert_matches_oracle(f[0], self.oracle(y, v, levels[0], h))
+        assert (f == 0).any() and not (f == 0).all()
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_conditional_density_levels_match_separate_calls(self, d):
-        # k outcome vectors at the same conditioning points give exactly the
-        # rows of k one-dimensional calls, with one mask, and the oracle's
-        # rows to rounding
-        rng = np.random.default_rng(40 + d)
-        y = 2.0 * rng.standard_normal(700)
-        v = rng.standard_normal((700, d))
-        h = default_bandwidths(np.column_stack([y, v]))
-        y_eval = 6.0 * rng.standard_normal((3, 300))
-        v_eval = 6.0 * rng.standard_normal((300, d))
-        f, floored = conditional_density(y, v, y_eval, v_eval, h)
-        assert f.shape == (3, 300) and floored.shape == (300,)
-        for y_level, f_level in zip(y_eval, f):
-            f_one, floored_one = conditional_density(y, v, y_level, v_eval, h)
-            assert np.array_equal(f_level, f_one)
-            assert np.array_equal(floored, floored_one)
-            self.assert_matches_oracle(f_level, floored, *conditional_density_reference(
-                y, v, y_level, v_eval, h, chunk=128))
-        if d:
-            assert floored.any() and not floored.all()
-        with pytest.raises(InputError, match="shape"):
-            conditional_density(y, v, y_eval[None], v_eval, h)
+        # k outcome vectors give exactly the rows of k one-level calls, and
+        # the oracle's rows to rounding
+        y, v, levels, h = self.sample(40 + d, d, 3)
+        f = conditional_density(y, v, levels, h)
+        assert f.shape == (3, 700)
+        for level, f_level in zip(levels, f):
+            assert np.array_equal(f_level, conditional_density(y, v, level[None], h)[0])
+            self.assert_matches_oracle(f_level, self.oracle(y, v, level, h))
+        for bad in (levels[0], levels[None], levels[:, 1:]):
+            with pytest.raises(InputError, match="shape"):
+                conditional_density(y, v, bad, h)
 
     def test_conditional_density_does_not_depend_on_block_rows(self, monkeypatch):
-        rng = np.random.default_rng(50)
-        y = 2.0 * rng.standard_normal(700)
-        v = rng.standard_normal((700, 2))
-        h = default_bandwidths(np.column_stack([y, v]))
-        y_eval = 6.0 * rng.standard_normal((3, 300))
-        v_eval = 6.0 * rng.standard_normal((300, 2))
+        y, v, levels, h = self.sample(50, 2, 3)
         outputs = []
         for rows in (1, 7, 64):
             monkeypatch.setattr(inference, "BLOCK_ROWS", rows)
-            outputs.append(conditional_density(y, v, y_eval, v_eval, h))
-        for f, floored in outputs[1:]:
-            assert np.array_equal(f, outputs[0][0])
-            assert np.array_equal(floored, outputs[0][1])
-        assert outputs[0][1].any() and (outputs[0][0] == 0).any()
+            outputs.append(conditional_density(y, v, levels, h))
+        for f in outputs[1:]:
+            assert np.array_equal(f, outputs[0])
+        assert (outputs[0] == 0).any()
 
     def test_cv_bandwidths_match_full_array_reference(self):
         rng = np.random.default_rng(30)
@@ -179,20 +173,19 @@ class TestKernelExactness:
         assert peak < 1.25 * 2 * BLOCK_ROWS * m * 8
 
     def test_conditional_density_memory_is_two_blocks(self):
-        # two BLOCK_ROWS x n_obs buffers, whatever the number of evaluations
-        # and of outcome vectors evaluated at them
-        n_obs, n_eval, d = 4000, 1000, 2
+        # two BLOCK_ROWS x n buffers, whatever the number of outcome vectors
+        n, d = 4000, 2
         rng = np.random.default_rng(33)
-        y, v = rng.standard_normal(n_obs), rng.standard_normal((n_obs, d))
+        y, v = rng.standard_normal(n), rng.standard_normal((n, d))
         h = default_bandwidths(np.column_stack([y, v]))
-        for y_eval in (y[:n_eval], rng.standard_normal((3, n_eval))):
+        for levels in (y[None], rng.standard_normal((3, n))):
             tracemalloc.start()
             try:
-                conditional_density(y, v, y_eval, v[:n_eval], h)
+                conditional_density(y, v, levels, h)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 1.25 * 2 * BLOCK_ROWS * n_obs * 8
+            assert peak < 1.25 * 2 * BLOCK_ROWS * n * 8
 
 
 @pytest.mark.parametrize("bandwidth_mode", ["rot", "cv"])
@@ -200,11 +193,9 @@ def test_reports_match_the_scipy_kernel_oracle(dataset_m2, bandwidth_mode,
                                                monkeypatch):
     # the density's rounding reaches sigma, its se and its minimum
     # eigenvalue, and nothing else
-    def oracle(y_obs, v_obs, y_eval, v_eval, bandwidths):
-        rows = [conditional_density_reference(y_obs, v_obs, y_level, v_eval,
-                                              bandwidths)
-                for y_level in np.atleast_2d(y_eval)]
-        return (np.reshape([f for f, _ in rows], np.shape(y_eval)), rows[0][1])
+    def oracle(y, v, levels, bandwidths):
+        return np.array([conditional_density_reference(y, v, level, v, bandwidths)[0]
+                         for level in levels])
 
     data, taus = dataset_m2.data, [0.25, 0.5, 0.75]
     shipped = [fit(data, taus, name, bandwidth_mode=bandwidth_mode)
@@ -235,7 +226,7 @@ class TestCovariance:
         cond = Z[:, 1:]                 # intercept and omega dims are constant
         kd = np.column_stack([data.y, cond])
         h = default_bandwidths(kd)
-        f, _ = conditional_density(data.y, cond, Z @ qsol.theta, cond, h)
+        f = conditional_density(data.y, cond, (Z @ qsol.theta)[None], h)[0]
         psi = quantile_score(data.y - Z @ qsol.theta, 0.5)
         M1 = (Z * f[:, None]).T @ Z / data.n
         S = (Z * psi[:, None]).T @ (Z * psi[:, None]) / data.n
