@@ -70,7 +70,8 @@ def _weighted_fit(data: ObservationSet, tau: float | Sequence[float], name: str,
     convention). Only the LP and the sandwich run per level: one
     `inference.covariance` call shares the bandwidths and the conditioning
     kernel across all of them, and the weights supply its first-stage term.
-    Each fit's diagnostics gain the covariance's.
+    Each fit's diagnostics gain the covariance's and its LP's path and
+    iteration count.
     """
     scalar = np.ndim(tau) == 0
     taus = [tau] if scalar else list(tau)
@@ -84,7 +85,8 @@ def _weighted_fit(data: ObservationSet, tau: float | Sequence[float], name: str,
                                                           data.n, CI_LEVEL),
                         labels=labels, qsol=qsol,
                         diagnostics={"n_selected": data.n_selected, **diagnostics,
-                                     **cov_diagnostics})
+                                     **cov_diagnostics, "lp_path": qsol.path,
+                                     "lp_iterations": qsol.iterations})
             for t, qsol, (sigma, cov_diagnostics) in zip(taus, qsols, covs)]
     return fits[0] if scalar else fits
 

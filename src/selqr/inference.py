@@ -16,6 +16,14 @@ The density and the LSCV bandwidth search write each product Gaussian
 kernel as a constant times exp(-S), S a squared distance between bandwidth-
 scaled rows formed by one block kernel, `_sq_dist_blocks`. The constants
 multiply row sums, so a row pair costs one exponential per kernel.
+
+Each pairwise difference col_i - row_j of a block is formed by copying
+the row into every line of the buffer and then subtracting it in place
+from the broadcast column. A subtract that broadcasts both operands
+(col[:, None] - row[None, :]) pays numpy a fixed cost of about a
+microsecond per line, more than the arithmetic of a 1000-wide line; the
+copy and the in-place subtract stream whole lines. The subtraction, and
+so every value, is the same.
 """
 
 from __future__ import annotations
@@ -63,7 +71,8 @@ def _sq_dist_blocks(a: np.ndarray):
             s.fill(0.0)
         for d in range(a.shape[1]):
             diff = work if d else s
-            np.subtract(block[:, d, None], a_cols[None, :, d], out=diff)
+            diff[...] = a_cols[:, d]
+            np.subtract(block[:, d, None], diff, out=diff)
             np.square(diff, out=diff)
             if d:
                 s += diff
@@ -162,7 +171,8 @@ def conditional_density(y, v, levels, bandwidths):
         np.exp(kv, out=kv)
         den = kv.sum(axis=1)
         for t_level, out_level in zip(t_levels, out):
-            np.subtract(t_level[sl, None], t[None, :], out=work)
+            work[...] = t
+            np.subtract(t_level[sl, None], work, out=work)
             np.square(work, out=work)
             np.negative(work, out=work)
             np.exp(work, out=work)

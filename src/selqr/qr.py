@@ -12,11 +12,17 @@ multipliers are theta. Two paths solve it:
 1. A Frisch-Newton interior point (Portnoy & Koenker 1997; quantreg's
    `rq.fit.fnb`). The first d linearly independent rows in order of
    |residual| at its last iterate, on continuous data the d smallest, are
-   taken as the vertex, and theta is re-solved from them.
+   taken as the vertex, and theta is re-solved from them. At n in the
+   thousands and d of a few, an iteration is about a hundred numpy calls
+   of microseconds each, so it calls LAPACK's Cholesky routines directly and
+   takes the predictor's step lengths in closed form (`_frisch_newton`).
 2. HiGHS dual simplex, when the interior point stops short or its vertex
    fails the certificate. At its basic solution the d basic columns are
    rows whose residual is zero; where exactly d residuals are zero, theta
    is re-solved from those rows.
+
+Each solution records which path returned it and that path's iteration
+count.
 
 The exact Koenker-Bassett optimality condition (`kb_stationarity`) alone
 decides which point is returned: every returned point has passed it.
@@ -34,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InputError, NumericalError
 
@@ -108,6 +114,8 @@ class QuantileSolution:
     objective: float
     active_set: tuple[int, ...]   # row indices interpolated at the vertex
     tau: float
+    path: str                     # "interior_point" or "highs"
+    iterations: int               # of the path that returned theta
 
 
 def solve(problem: QuantileProblem) -> QuantileSolution:
@@ -134,21 +142,24 @@ def solve(problem: QuantileProblem) -> QuantileSolution:
     def certified(theta):
         return kb_stationarity(Z, y - Z @ theta, w, tau, zero_tol=zero_tol) <= slack
 
-    theta = _interior_point_vertex(Z, y, w, tau)
-    if theta is None or not certified(theta):
-        theta = _highs_vertex(Z, y, w, tau, zero_tol)
-        if not certified(theta):
+    path, found = "interior_point", _interior_point_vertex(Z, y, w, tau)
+    if found is None or not certified(found[0]):
+        path, found = "highs", _highs_vertex(Z, y, w, tau, zero_tol)
+        if not certified(found[0]):
             raise NumericalError("quantile solution violates the optimality certificate")
+    theta, iterations = found
     resid = y - Z @ theta
     zero = np.abs(resid) <= zero_tol
     objective = float(np.sum(w * check_loss(resid, tau)))
     orig = np.flatnonzero(keep)
     return QuantileSolution(theta=theta, objective=objective,
-                            active_set=tuple(int(i) for i in orig[zero]), tau=tau)
+                            active_set=tuple(int(i) for i in orig[zero]), tau=tau,
+                            path=path, iterations=iterations)
 
 
 def _interior_point_vertex(Z, y, w, tau):
-    """The vertex the interior point ends at, or None when it stops short.
+    """The vertex the interior point ends at, with its iteration count, or
+    None when it stops short.
 
     Going through the rows in order of |y - Z theta| at the last iterate,
     the first d that are linearly independent are re-solved in index order
@@ -158,17 +169,18 @@ def _interior_point_vertex(Z, y, w, tau):
     already taken (the same row of Z, say) is skipped.
     """
     try:
-        theta = _frisch_newton(Z, y, w, tau)
+        result = _frisch_newton(Z, y, w, tau)
     except np.linalg.LinAlgError:
         return None
-    if theta is None:
+    if result is None:
         return None
+    theta, iterations = result
     rows = []
     for i in np.argsort(np.abs(y - Z @ theta), kind="stable"):
         if np.linalg.matrix_rank(Z[rows + [i]]) > len(rows):
             rows.append(i)
             if len(rows) == Z.shape[1]:
-                return _interpolate(Z, y, np.sort(rows), theta)
+                return _interpolate(Z, y, np.sort(rows), theta), iterations
     return None
 
 
@@ -178,11 +190,20 @@ def _frisch_newton(Z, y, w, tau):
     In x = a + (1-tau) w the LP reads min -y'x s.t. Z'x = (1-tau) Z'w,
     0 <= x <= w. The iterate starts at a = 0 with theta the least-squares
     fit, whose residuals r = y - Z theta give the dual slacks
-    zl = max(-r, 0) of x >= 0 and zu = max(r, 0) of x <= w. Each iteration
-    factors Z'DZ once, and the corrector reuses the factor. Returns theta
-    once the duality gap x'zl + (w-x)'zu is at most FN_GAP_TOL times
-    max(1, sum_i w_i |y_i|), or None after FN_MAX_ITER iterations. Raises
-    LinAlgError when Z'DZ has no Cholesky factor.
+    zl = max(-r, 0) of x >= 0 and zu = max(r, 0) of x <= w. Returns
+    (theta, iterations) once the duality gap x'zl + (w-x)'zu is at most
+    FN_GAP_TOL times max(1, sum_i w_i |y_i|), or None after FN_MAX_ITER
+    iterations. Raises LinAlgError when Z'DZ has no Cholesky factor.
+
+    Each iteration factors Z'DZ once with LAPACK's dpotrf and solves with
+    dpotrs, the routines scipy.linalg.cho_factor and cho_solve wrap, so the
+    factor is the same bit for bit without their per-call checks; the
+    corrector reuses the factor. 1/x and 1/s are formed once per iteration.
+    The predictor's step lengths follow in closed form from dx/x and dx/s:
+    its dual ratio zl / -dzl is 1 / (1 + dx/x), and zu / -dzu is
+    1 / (1 - dx/s), except on rows whose slack is exactly zero, which block
+    nothing (`_predictor_step_lengths`). The corrector's direction has no
+    such form and goes through `_step_lengths`.
     """
     n = len(y)
     x, s = (1 - tau) * w, tau * w
@@ -197,30 +218,34 @@ def _frisch_newton(Z, y, w, tau):
     zl[near] += eps
     zu[near] += eps
     gap_tol = FN_GAP_TOL * max(1.0, float(w @ np.abs(y)))
-    for _ in range(FN_MAX_ITER):
+    for iteration in range(FN_MAX_ITER):
         gap = x @ zl + s @ zu
         if gap <= gap_tol:
-            return theta
+            return theta, iteration
+        xi, si = 1.0 / x, 1.0 / s
         # affine-scaling predictor, in the dual step dv = -dtheta
-        D = 1.0 / (zl / x + zu / s)
+        D = 1.0 / (zl * xi + zu * si)
         q = zl - zu
         rhs = b - Z.T @ x + Z.T @ (D * q)
-        factor = cho_factor(Z.T @ (D[:, None] * Z), check_finite=False)
-        dv = cho_solve(factor, rhs, check_finite=False)
+        factor, info = dpotrf(Z.T @ (D[:, None] * Z), lower=0, clean=0)
+        if info:
+            raise np.linalg.LinAlgError("Z'DZ is not positive definite")
+        dv = dpotrs(factor, rhs, lower=0)[0]
         dx = D * (Z @ dv - q)
-        dzl = -zl * (1 + dx / x)
-        dzu = -zu * (1 - dx / s)
-        ap, ad = _step_lengths(x, s, zl, zu, dx, dzl, dzu)
+        dx_x, dx_s = dx * xi, dx * si
+        dzl = -zl * (1 + dx_x)
+        dzu = -zu * (1 - dx_s)
+        ap, ad = _predictor_step_lengths(zl, zu, dx_x, dx_s)
         if min(ap, ad) < 1.0:
             # Mehrotra's centring and second-order corrector
             g = (x + ap * dx) @ (zl + ad * dzl) + (s - ap * dx) @ (zu + ad * dzu)
             mu = gap * (g / gap) ** 3 / (2 * n)
             dxdzl, dsdzu = dx * dzl, -dx * dzu
-            dr = D * (mu * (1 / s - 1 / x) + dxdzl / x - dsdzu / s)
-            dv = cho_solve(factor, rhs + Z.T @ dr, check_finite=False)
+            dr = D * (mu * (si - xi) + dxdzl * xi - dsdzu * si)
+            dv = dpotrs(factor, rhs + Z.T @ dr, lower=0)[0]
             dx = D * (Z @ dv - q) - dr
-            dzl = mu / x - zl - zl * dx / x - dxdzl / x
-            dzu = mu / s - zu + zu * dx / s - dsdzu / s
+            dzl = (mu - zl * dx - dxdzl) * xi - zl
+            dzu = (mu + zu * dx - dsdzu) * si - zu
             ap, ad = _step_lengths(x, s, zl, zu, dx, dzl, dzu)
         x += ap * dx
         s -= ap * dx
@@ -228,6 +253,24 @@ def _frisch_newton(Z, y, w, tau):
         zl += ad * dzl
         zu += ad * dzu
     return None
+
+
+def _predictor_step_lengths(zl, zu, dx_x, dx_s):
+    """`_step_lengths` of the affine-scaling direction, from dx/x and dx/s.
+
+    There dzl = -zl (1 + dx/x) and dzu = -zu (1 - dx/s), so the ratio zl /
+    -dzl to the boundary is 1 / (1 + dx/x) and zu / -dzu is 1 / (1 - dx/s):
+    the rows with the largest positive 1 + dx/x and 1 - dx/s block the dual
+    step. A row whose slack is exactly zero, as on the first iterate where
+    its residual is not near zero, moves by zero and blocks nothing: it is
+    multiplied by zero, below every blocking value. The primal ratios
+    x / -dx and s / dx are 1 / (-dx/x) and 1 / (dx/s) likewise. With M the
+    largest blocking value, FN_STEP / max(M, FN_STEP) is min(1, FN_STEP / M),
+    and M <= 0 (nothing blocks) gives a full step.
+    """
+    primal = max(-dx_x.min(), dx_s.max(), FN_STEP)
+    dual = max(((1 + dx_x) * (zl > 0)).max(), ((1 - dx_s) * (zu > 0)).max(), FN_STEP)
+    return FN_STEP / primal, FN_STEP / dual
 
 
 def _step_lengths(x, s, zl, zu, dx, dzl, dzu):
@@ -241,9 +284,9 @@ def _step_lengths(x, s, zl, zu, dx, dzl, dzu):
 
 
 def _highs_vertex(Z, y, w, tau, zero_tol):
-    """HiGHS dual simplex on the dual LP; theta from its equality
-    multipliers, re-solved (`_interpolate`) where exactly d residuals are
-    within zero_tol."""
+    """HiGHS dual simplex on the dual LP: (theta, simplex iterations), theta
+    from its equality multipliers, re-solved (`_interpolate`) where exactly
+    d residuals are within zero_tol."""
     from scipy.optimize import linprog     # loaded only when a solve falls back
     d = Z.shape[1]
     # a = 0 is feasible and the box bounds the objective, so a nonzero
@@ -256,7 +299,9 @@ def _highs_vertex(Z, y, w, tau, zero_tol):
         raise NumericalError(f"quantile LP failed: {res.message}")
     theta = -res.eqlin.marginals
     zero = np.abs(y - Z @ theta) <= zero_tol
-    return _interpolate(Z, y, zero, theta) if zero.sum() == d else theta
+    if zero.sum() == d:
+        theta = _interpolate(Z, y, zero, theta)
+    return theta, int(res.nit)
 
 
 def _interpolate(Z, y, rows, theta):

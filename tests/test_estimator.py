@@ -218,6 +218,17 @@ def test_tau_sequence_equals_scalar_fits(dataset_m2, bandwidth_mode):
             assert qf.qsol.active_set == one.qsol.active_set
 
 
+def test_lp_iteration_count_does_not_grow(dataset_m2):
+    # the nine LPs of a three-estimator, three-level fit all stay on the
+    # interior point. 97 is their summed iteration count with Z'DZ factored
+    # through scipy.linalg.cho_factor and every step length taken by
+    # division: a leaner iteration may not converge more slowly
+    fits = [qf for name in ESTIMATOR_NAMES
+            for qf in fit(dataset_m2.data, [0.25, 0.5, 0.75], name)]
+    assert [qf.diagnostics["lp_path"] for qf in fits] == ["interior_point"] * 9
+    assert sum(qf.diagnostics["lp_iterations"] for qf in fits) <= 97
+
+
 def test_tau_sequence_builds_weights_and_bandwidths_once(dataset_m2, monkeypatch):
     calls = {"weights": 0, "mar_weights": 0, "cv_bandwidths": 0}
 

@@ -179,9 +179,9 @@ class TestCertificate:
     def test_solve_rejects_a_non_optimal_vertex(self, monkeypatch):
         # both paths are handed the same non-optimal vertex
         Z, y, w, tau, theta = non_optimal_vertex()
-        fake = SimpleNamespace(status=0, message="",
+        fake = SimpleNamespace(status=0, message="", nit=1,
                                eqlin=SimpleNamespace(marginals=-theta))
-        monkeypatch.setattr(selqr.qr, "_frisch_newton", lambda *a: theta.copy())
+        monkeypatch.setattr(selqr.qr, "_frisch_newton", lambda *a: (theta.copy(), 1))
         monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: fake)
         with pytest.raises(NumericalError, match="certificate"):
             solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
@@ -232,13 +232,59 @@ class TestCertificate:
             assert (quantile_score(resid, tau) == tau).all()
 
 
+def affine_direction(Z, w, tau, x, zl, zu):
+    """The interior point's predictor direction at (x, zl, zu), solved
+    without the Cholesky routines: (s, dx, dzl, dzu)."""
+    s = w - x
+    D = 1.0 / (zl / x + zu / s)
+    q = zl - zu
+    rhs = (1 - tau) * Z.T @ w - Z.T @ x + Z.T @ (D * q)
+    dx = D * (Z @ np.linalg.solve(Z.T @ (D[:, None] * Z), rhs) - q)
+    return s, dx, -zl * (1 + dx / x), -zu * (1 - dx / s)
+
+
+class TestStepLengths:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closed_form_on_positive_iterates(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 200
+        Z = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        w = rng.uniform(0.5, 3, n)
+        x = w * rng.uniform(0.01, 0.99, n)
+        zl, zu = rng.exponential(size=(2, n))
+        s, dx, dzl, dzu = affine_direction(Z, w, 0.3, x, zl, zu)
+        assert_allclose(selqr.qr._predictor_step_lengths(zl, zu, dx / x, dx / s),
+                        selqr.qr._step_lengths(x, s, zl, zu, dx, dzl, dzu),
+                        rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75])
+    def test_zero_slacks_of_the_first_iterate_block_nothing(self, tau):
+        # at a = 0, zl = max(-r, 0) and zu = max(r, 0) are exactly zero on
+        # every row whose least-squares residual is not near zero
+        rng = np.random.default_rng(8)
+        n = 300
+        Z = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        y, w = rng.standard_normal(n), rng.uniform(0.5, 3, n)
+        x = (1 - tau) * w
+        r = y - Z @ np.linalg.solve(Z.T @ Z, Z.T @ y)
+        zl, zu = np.maximum(-r, 0.0), np.maximum(r, 0.0)
+        assert (zl == 0).sum() > 100 and (zu == 0).sum() > 100
+        s, dx, dzl, dzu = affine_direction(Z, w, tau, x, zl, zu)
+        reference = selqr.qr._step_lengths(x, s, zl, zu, dx, dzl, dzu)
+        assert min(reference) < 1.0
+        assert_allclose(selqr.qr._predictor_step_lengths(zl, zu, dx / x, dx / s),
+                        reference, rtol=1e-12, atol=0)
+
+
 def count_linprog_calls(monkeypatch):
+    """Record the iteration count of every HiGHS call."""
     calls = []
     real = scipy.optimize.linprog
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        res = real(*args, **kwargs)
+        calls.append(res.nit)
+        return res
 
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
     return calls
@@ -262,12 +308,12 @@ class TestFallback:
             monkeypatch.setattr(selqr.qr, "_frisch_newton", raise_linalg_error)
         elif stop == "rejected":
             monkeypatch.setattr(selqr.qr, "_frisch_newton",
-                                lambda *a: bad_theta.copy())
+                                lambda *a: (bad_theta.copy(), 1))
         else:
             monkeypatch.setattr(selqr.qr, "FN_MAX_ITER", 1)
         calls = count_linprog_calls(monkeypatch)
         sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
-        assert len(calls) == 1
+        assert calls == [sol.iterations] and sol.path == "highs"
         assert certified(Z, y, w, tau, sol.theta)
         _, obj_oracle = brute_force_qr(Z, y, w, tau)
         assert abs(sol.objective - obj_oracle) < 1e-9
@@ -279,10 +325,12 @@ class TestFallback:
         sol = solve(QuantileProblem(Z=Z, y=rng.standard_normal(300),
                                     w=rng.uniform(0.5, 3, 300), tau=0.3))
         assert calls == [] and len(sol.active_set) == 3
+        assert sol.path == "interior_point" and 0 < sol.iterations < selqr.qr.FN_MAX_ITER
 
     def test_tied_integer_problem_reaches_highs(self, monkeypatch):
-        # Z'DZ loses its Cholesky factor as the iterate nears the flat face
-        rng = np.random.default_rng(27)
+        # Z'DZ loses its Cholesky factor as the iterate nears the flat face;
+        # 6 of the generator's first 400 seeds do, 103 the first of them
+        rng = np.random.default_rng(103)
         n = 30
         Z = np.column_stack([np.ones(n), rng.integers(0, 3, (n, 2))]).astype(float)
         y = rng.integers(0, 5, n).astype(float)
@@ -291,7 +339,7 @@ class TestFallback:
             selqr.qr._frisch_newton(Z, y, w, 0.75)
         calls = count_linprog_calls(monkeypatch)
         sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=0.75))
-        assert len(calls) == 1
+        assert calls == [sol.iterations] and sol.path == "highs"
         assert certified(Z, y, w, 0.75, sol.theta)
         assert sol.objective == pytest.approx(lp_qr_objective(Z, y, w, 0.75),
                                               rel=1e-12, abs=1e-12)
@@ -335,7 +383,7 @@ class TestSeed42Fault:
         keep = problem.w > 0
         Z, y, w = problem.Z[keep], problem.y[keep], problem.w[keep]
         zero_tol = 1e-9 * max(1.0, np.abs(y).max())
-        theta = selqr.qr._highs_vertex(Z, y, w, 0.5, zero_tol)
+        theta, _ = selqr.qr._highs_vertex(Z, y, w, 0.5, zero_tol)
         assert certified(Z, y, w, 0.5, theta)
 
 
@@ -374,4 +422,4 @@ class TestSolveProperties:
         assert certified(Z, y, w, tau, sol.theta)
         zero_tol = 1e-9 * max(1.0, np.abs(y).max())
         assert np.array_equal(sol.theta,
-                              selqr.qr._highs_vertex(Z, y, w, tau, zero_tol))
+                              selqr.qr._highs_vertex(Z, y, w, tau, zero_tol)[0])
