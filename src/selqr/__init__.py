@@ -4,7 +4,7 @@ The pipeline: a series 2SLS first stage for inverse selection
 probabilities, floored at one, inverse probability weighted quantile
 regression with plug-in asymptotic inference, a selection-corrected
 distribution function, comparator estimators, and a Monte Carlo harness.
-The cone projection fits the g >= 1 bound in coefficient space.
+The cone projection (g >= 1 in coefficient space) stands alone: no weight reads it.
 """
 
 __version__ = "0.1.0"

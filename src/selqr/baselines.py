@@ -10,7 +10,7 @@ from scipy.special import log_ndtr, ndtr
 from .data import ObservationSet
 from .errors import InputError, NumericalError
 
-PROBIT_GRAD_TOL = 1e-8
+PROBIT_DECREMENT_TOL = 1e-16    # on g'(-H)^-1 g, per observation
 PROBIT_MAX_ITER = 200
 SEPARATION_BOUND = 30.0
 TRIM_FLOOR = 0.01    # MAR probabilities are clamped below here before inverting
@@ -47,13 +47,13 @@ def _probit_parts(gamma, d, X):
 
 
 def probit_fit(d: np.ndarray, X: np.ndarray) -> ProbitFit:
-    """Newton-Raphson with step halving; converges on the gradient norm.
+    """Newton-Raphson with step halving; converges on the Newton decrement.
 
-    X must already carry its intercept column. The gradient is checked
-    before each of at most PROBIT_MAX_ITER Newton steps and after the last
-    one, so a returned fit has converged (every entry below
-    PROBIT_GRAD_TOL). Raises NumericalError on detected separation
-    (diverging linear predictor) and when no check passes.
+    X must already carry its intercept column. The decrement g'(-H)^-1 g,
+    which no column's units move, is checked before each of at most
+    PROBIT_MAX_ITER Newton steps and after the last one, so a returned fit
+    has converged (below PROBIT_DECREMENT_TOL). Raises NumericalError on
+    detected separation (diverging linear predictor) and when no check passes.
     """
     d = np.asarray(d, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -64,14 +64,14 @@ def probit_fit(d: np.ndarray, X: np.ndarray) -> ProbitFit:
     gamma = np.zeros(X.shape[1])
     ll, grad, hess, s = _probit_parts(gamma, d, X)
     for it in range(PROBIT_MAX_ITER + 1):
-        if np.abs(grad).max() < PROBIT_GRAD_TOL:
-            return ProbitFit(gamma=gamma, iterations=it)
-        if it == PROBIT_MAX_ITER:
-            break
         try:
             step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
             raise NumericalError("probit Hessian singular")
+        if (decrement := grad @ step) < PROBIT_DECREMENT_TOL:
+            return ProbitFit(gamma=gamma, iterations=it)
+        if it == PROBIT_MAX_ITER:
+            break
         scale = 1.0
         for _ in range(50):
             cand = gamma + scale * step
@@ -86,7 +86,7 @@ def probit_fit(d: np.ndarray, X: np.ndarray) -> ProbitFit:
             raise NumericalError("probit separation detected (monotone likelihood)")
     raise NumericalError(
         f"probit did not converge in {PROBIT_MAX_ITER} iterations; last iterate "
-        f"{gamma}, gradient norm {np.abs(grad).max():.3e}")
+        f"{gamma}, Newton decrement {decrement:.3e}")
 
 
 def mar_weights(data: ObservationSet):

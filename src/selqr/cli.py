@@ -146,6 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Selection-corrected quantile regression under "
                     "outcome-dependent missingness")
     sub = parser.add_subparsers(dest="command", required=True)
+    all_estimators = ",".join(estimator.ESTIMATOR_NAMES)
 
     p_fit = sub.add_parser("fit", help="fit estimators to a CSV dataset")
     p_fit.add_argument("--data", required=True)
@@ -154,8 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--tau", default=",".join(map(str, RunConfig.taus)),
                        help="comma-separated levels")
     p_fit.add_argument("--estimators", default=",".join(RunConfig.estimators),
-                       help="comma-separated subset of "
-                            "uncorrected,mar,semiparametric_iv")
+                       help="comma-separated subset of " + all_estimators)
     _add_basis_flags(p_fit)
     p_fit.add_argument("--bandwidth-mode", choices=BANDWIDTH_MODES,
                        default=RunConfig.bandwidth_mode)
@@ -168,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=1000)
     p_sim.add_argument("--tau", type=float, default=0.5)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--estimators",
-                       default="uncorrected,mar,semiparametric_iv")
+    p_sim.add_argument("--estimators", default=all_estimators)
     p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.add_argument("--out", help="output prefix for <out>.csv/<out>.json")
 

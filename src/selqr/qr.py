@@ -15,11 +15,14 @@ multipliers are theta. Two paths solve it:
    taken as the vertex, and theta is re-solved from them. At n in the
    thousands and d of a few, an iteration is about a hundred numpy calls
    of microseconds each, so it calls LAPACK's Cholesky routines directly and
-   takes the predictor's step lengths in closed form (`_frisch_newton`).
+   takes every step length in one closed form (`_frisch_newton`).
 2. HiGHS dual simplex, when the interior point stops short or its vertex
    fails the certificate. At its basic solution the d basic columns are
    rows whose residual is zero; where exactly d residuals are zero, theta
    is re-solved from those rows.
+
+No tolerance has a unit floor, and the rank check scales Z's columns, so
+y or a column of Z in other units rescales theta and changes nothing else.
 
 Each solution records which path returned it and that path's iteration
 count.
@@ -49,7 +52,7 @@ INTERPOLATE_STEPS = 21
 
 # Frisch-Newton interior point
 FN_STEP = 0.99995     # fraction of the distance to the boundary each step takes
-FN_GAP_TOL = 1e-10    # stopping duality gap, relative to max(1, sum_i w_i |y_i|)
+FN_GAP_TOL = 1e-10    # stopping duality gap, relative to sum_i w_i |y_i|
 FN_MAX_ITER = 50      # past this, solve falls back to HiGHS
 
 # at HiGHS's default (1e-7), dual simplex stopped at a non-optimal vertex
@@ -133,11 +136,11 @@ def solve(problem: QuantileProblem) -> QuantileSolution:
     """
     keep = problem.w > 0
     Z, y, w = problem.Z[keep], problem.y[keep], problem.w[keep]
-    if np.linalg.matrix_rank(Z) < Z.shape[1]:
+    scale = np.abs(Z).max(axis=0)
+    if not scale.all() or np.linalg.matrix_rank(Z / scale) < Z.shape[1]:
         raise NumericalError("rank-deficient quantile design")
     tau = problem.tau
-    zero_tol = 1e-9 * max(1.0, np.abs(y).max())
-    slack = 1e-6 * max(1.0, float(np.abs(w @ np.abs(Z)).max()))
+    zero_tol, slack = _tolerances(Z, y, w)
 
     def certified(theta):
         return kb_stationarity(Z, y - Z @ theta, w, tau, zero_tol=zero_tol) <= slack
@@ -155,6 +158,11 @@ def solve(problem: QuantileProblem) -> QuantileSolution:
     return QuantileSolution(theta=theta, objective=objective,
                             active_set=tuple(int(i) for i in orig[zero]), tau=tau,
                             path=path, iterations=iterations)
+
+
+def _tolerances(Z, y, w):
+    """solve's zero_tol, in the units of y, and slack, in those of w'|Z|."""
+    return 1e-9 * np.abs(y).max(), 1e-6 * float(np.abs(w @ np.abs(Z)).max())
 
 
 def _interior_point_vertex(Z, y, w, tau):
@@ -192,18 +200,16 @@ def _frisch_newton(Z, y, w, tau):
     fit, whose residuals r = y - Z theta give the dual slacks
     zl = max(-r, 0) of x >= 0 and zu = max(r, 0) of x <= w. Returns
     (theta, iterations) once the duality gap x'zl + (w-x)'zu is at most
-    FN_GAP_TOL times max(1, sum_i w_i |y_i|), or None after FN_MAX_ITER
-    iterations. Raises LinAlgError when Z'DZ has no Cholesky factor.
+    FN_GAP_TOL times sum_i w_i |y_i| (at once, with theta = 0, when y = 0),
+    or None after FN_MAX_ITER iterations. Raises LinAlgError when Z'DZ has
+    no Cholesky factor.
 
     Each iteration factors Z'DZ once with LAPACK's dpotrf and solves with
     dpotrs, the routines scipy.linalg.cho_factor and cho_solve wrap, so the
     factor is the same bit for bit without their per-call checks; the
-    corrector reuses the factor. 1/x and 1/s are formed once per iteration.
-    The predictor's step lengths follow in closed form from dx/x and dx/s:
-    its dual ratio zl / -dzl is 1 / (1 + dx/x), and zu / -dzu is
-    1 / (1 - dx/s), except on rows whose slack is exactly zero, which block
-    nothing (`_predictor_step_lengths`). The corrector's direction has no
-    such form and goes through `_step_lengths`.
+    corrector reuses the factor. The reciprocals of x, s, zl and zu, with
+    0 for a zero slack, are formed once per iteration, and both directions
+    take their step lengths from them in one closed form (`_step_lengths`).
     """
     n = len(y)
     x, s = (1 - tau) * w, tau * w
@@ -213,16 +219,18 @@ def _frisch_newton(Z, y, w, tau):
     zl, zu = np.maximum(-r, 0.0), np.maximum(r, 0.0)
     # a zero residual leaves both slacks zero; lift both alike, which keeps
     # zl - zu = -r
-    eps = 1e-6 * max(1.0, np.abs(y).max())
+    eps = 1e-6 * np.abs(y).max()
     near = np.abs(r) < eps
     zl[near] += eps
     zu[near] += eps
-    gap_tol = FN_GAP_TOL * max(1.0, float(w @ np.abs(y)))
+    gap_tol = FN_GAP_TOL * float(w @ np.abs(y))
     for iteration in range(FN_MAX_ITER):
         gap = x @ zl + s @ zu
         if gap <= gap_tol:
             return theta, iteration
         xi, si = 1.0 / x, 1.0 / s
+        zli = np.divide(1.0, zl, out=np.zeros(n), where=zl > 0)
+        zui = np.divide(1.0, zu, out=np.zeros(n), where=zu > 0)
         # affine-scaling predictor, in the dual step dv = -dtheta
         D = 1.0 / (zl * xi + zu * si)
         q = zl - zu
@@ -232,10 +240,9 @@ def _frisch_newton(Z, y, w, tau):
             raise np.linalg.LinAlgError("Z'DZ is not positive definite")
         dv = dpotrs(factor, rhs, lower=0)[0]
         dx = D * (Z @ dv - q)
-        dx_x, dx_s = dx * xi, dx * si
-        dzl = -zl * (1 + dx_x)
-        dzu = -zu * (1 - dx_s)
-        ap, ad = _predictor_step_lengths(zl, zu, dx_x, dx_s)
+        dzl = -zl * (1 + dx * xi)
+        dzu = -zu * (1 - dx * si)
+        ap, ad = _step_lengths(xi, si, zli, zui, dx, dzl, dzu)
         if min(ap, ad) < 1.0:
             # Mehrotra's centring and second-order corrector
             g = (x + ap * dx) @ (zl + ad * dzl) + (s - ap * dx) @ (zu + ad * dzu)
@@ -246,7 +253,7 @@ def _frisch_newton(Z, y, w, tau):
             dx = D * (Z @ dv - q) - dr
             dzl = (mu - zl * dx - dxdzl) * xi - zl
             dzu = (mu + zu * dx - dsdzu) * si - zu
-            ap, ad = _step_lengths(x, s, zl, zu, dx, dzl, dzu)
+            ap, ad = _step_lengths(xi, si, zli, zui, dx, dzl, dzu)
         x += ap * dx
         s -= ap * dx
         theta -= ad * dv
@@ -255,32 +262,22 @@ def _frisch_newton(Z, y, w, tau):
     return None
 
 
-def _predictor_step_lengths(zl, zu, dx_x, dx_s):
-    """`_step_lengths` of the affine-scaling direction, from dx/x and dx/s.
-
-    There dzl = -zl (1 + dx/x) and dzu = -zu (1 - dx/s), so the ratio zl /
-    -dzl to the boundary is 1 / (1 + dx/x) and zu / -dzu is 1 / (1 - dx/s):
-    the rows with the largest positive 1 + dx/x and 1 - dx/s block the dual
-    step. A row whose slack is exactly zero, as on the first iterate where
-    its residual is not near zero, moves by zero and blocks nothing: it is
-    multiplied by zero, below every blocking value. The primal ratios
-    x / -dx and s / dx are 1 / (-dx/x) and 1 / (dx/s) likewise. With M the
-    largest blocking value, FN_STEP / max(M, FN_STEP) is min(1, FN_STEP / M),
-    and M <= 0 (nothing blocks) gives a full step.
-    """
-    primal = max(-dx_x.min(), dx_s.max(), FN_STEP)
-    dual = max(((1 + dx_x) * (zl > 0)).max(), ((1 - dx_s) * (zu > 0)).max(), FN_STEP)
-    return FN_STEP / primal, FN_STEP / dual
-
-
-def _step_lengths(x, s, zl, zu, dx, dzl, dzu):
+def _step_lengths(xi, si, zli, zui, dx, dzl, dzu):
     """Primal and dual step lengths: FN_STEP of the way to the boundary,
-    at most 1. s = w - x moves by -dx."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        primal = (np.where(dx < 0, x, s) / np.abs(dx)).min()
-        dual = min(np.where(dzl < 0, zl / -dzl, np.inf).min(),
-                   np.where(dzu < 0, zu / -dzu, np.inf).min())
-    return min(1.0, FN_STEP * primal), min(1.0, FN_STEP * dual)
+    at most 1, from the reciprocals xi, si, zli, zui of x, s, zl, zu.
+
+    x moves by dx and s = w - x by -dx, so the ratios to the boundary,
+    x / -dx and s / dx, are 1 / (-dx/x) and 1 / (dx/s): the rows with the
+    largest -dx/x and dx/s block the primal step, and those with the
+    largest -dzl/zl and -dzu/zu the dual one. With M the largest blocking
+    value, FN_STEP / max(M, FN_STEP) is min(1, FN_STEP / M). A slack that
+    is exactly zero, as on the first iterate, has zli or zui 0 and blocks
+    nothing: no direction moves it down (the predictor by 0, the corrector
+    up by mu/x or mu/s).
+    """
+    primal = max(-(dx * xi).min(), (dx * si).max(), FN_STEP)
+    dual = max(-(dzl * zli).min(), -(dzu * zui).min(), FN_STEP)
+    return FN_STEP / primal, FN_STEP / dual
 
 
 def _highs_vertex(Z, y, w, tau, zero_tol):
@@ -289,15 +286,18 @@ def _highs_vertex(Z, y, w, tau, zero_tol):
     d residuals are within zero_tol."""
     from scipy.optimize import linprog     # loaded only when a solve falls back
     d = Z.shape[1]
+    # HiGHS's dual tolerance is absolute: pose the LP in y over a power of
+    # two near max |y|, which scales it and the multipliers exactly
+    unit = 2.0 ** np.frexp(np.abs(y).max())[1]
     # a = 0 is feasible and the box bounds the objective, so a nonzero
     # status can only be an iteration or time limit
-    res = linprog(-y, A_eq=Z.T, b_eq=np.zeros(d),
+    res = linprog(-y / unit, A_eq=Z.T, b_eq=np.zeros(d),
                   bounds=np.column_stack([-(1 - tau) * w, tau * w]),
                   method="highs-ds",
                   options={"dual_feasibility_tolerance": HIGHS_DUAL_FEASIBILITY_TOL})
     if res.status != 0:
         raise NumericalError(f"quantile LP failed: {res.message}")
-    theta = -res.eqlin.marginals
+    theta = -res.eqlin.marginals * unit
     zero = np.abs(y - Z @ theta) <= zero_tol
     if zero.sum() == d:
         theta = _interpolate(Z, y, zero, theta)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from selqr import (InputError, NumericalError, ObservationSet, SimulationSpec,
@@ -181,7 +182,7 @@ def test_se_invariant_to_covariate_units(dataset_m2, bandwidth_mode):
     extra = np.random.default_rng(0).standard_normal((data.n, 8))
     wide = ObservationSet(d=data.d, y=data.y, w=data.w,
                           x=np.column_stack([data.x, extra]))
-    cases = [(data, s, s, ESTIMATOR_NAMES) for s in (1e-8, 1e8)]
+    cases = [(data, s, s, ESTIMATOR_NAMES) for s in (1e-12, 1e-8, 1e8, 1e12)]
     # eight more covariates in natural units: a standard deviation of 30
     cases.append((wide, 1.0, np.r_[np.ones(data.x.shape[1]), np.full(8, 30.0)],
                   ("uncorrected", "semiparametric_iv")))
@@ -198,6 +199,23 @@ def test_se_invariant_to_covariate_units(dataset_m2, bandwidth_mode):
                 assert_allclose(qm.se * scale, qf.se, rtol=1e-9)
                 assert (qm.diagnostics["conditioning_dims_dropped"]
                         == qf.diagnostics["conditioning_dims_dropped"])
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(log_scale=st.floats(-12.0, 12.0))
+@example(log_scale=-12.0)
+@example(log_scale=12.0)
+def test_fit_scales_with_the_units_of_y(log_scale):
+    # y -> s y leaves the weights alone and scales theta and se by s at
+    # any s: no tolerance of the LP is fixed in units of y
+    data = generate(SimulationSpec("C", "M2", n=1000, reps=1, seed=11), 0).data
+    s = 10.0 ** log_scale
+    moved = ObservationSet(d=data.d, y=s * data.y, w=data.w, x=data.x)
+    taus = [0.25, 0.5, 0.75]
+    for name in ESTIMATOR_NAMES:
+        for qf, qm in zip(fit(data, taus, name), fit(moved, taus, name)):
+            assert_allclose(qm.theta / s, qf.theta, rtol=1e-9)
+            assert_allclose(qm.se / s, qf.se, rtol=1e-9)
 
 
 @pytest.mark.parametrize("bandwidth_mode", ["rot", "cv"])

@@ -125,9 +125,12 @@ class TestSolve:
         assert_allclose(sol.theta, [2.0], atol=1e-9)
 
     def test_rank_deficient_design(self):
-        Z = np.column_stack([np.ones(10), np.ones(10)])
-        with pytest.raises(NumericalError, match="rank"):
-            solve(QuantileProblem(Z=Z, y=np.arange(10.0), w=np.ones(10), tau=0.5))
+        # a repeated column, and an all-zero one, which has no scale to
+        # divide by
+        for col in (np.ones(10), np.zeros(10)):
+            Z = np.column_stack([np.ones(10), col])
+            with pytest.raises(NumericalError, match="rank"):
+                solve(QuantileProblem(Z=Z, y=np.arange(10.0), w=np.ones(10), tau=0.5))
 
     def test_tau_validation(self):
         with pytest.raises(InputError):
@@ -164,8 +167,8 @@ def non_optimal_vertex():
     return Z, y, np.ones(n), 0.5, np.linalg.solve(Z[rows], y[rows])
 
 
-def certificate_slack(Z, w):
-    return 1e-6 * max(1.0, float(np.abs(w @ np.abs(Z)).max()))
+def certificate_slack(Z, y, w):
+    return selqr.qr._tolerances(Z, y, w)[1]
 
 
 class TestCertificate:
@@ -200,7 +203,7 @@ class TestCertificate:
                 theta = np.linalg.solve(Z[list(rows)], y[list(rows)])
                 resid = y - Z @ theta
                 optimal = np.sum(w * check_loss(resid, tau)) <= obj_oracle + 1e-9
-                accepted = kb_stationarity(Z, resid, w, tau) <= certificate_slack(Z, w)
+                accepted = kb_stationarity(Z, resid, w, tau) <= certificate_slack(Z, y, w)
                 assert accepted == optimal
 
     def test_degenerate_optimum_passes(self):
@@ -215,7 +218,7 @@ class TestCertificate:
         for tau in (0.25, 0.5, 0.8):
             sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
             assert len(sol.active_set) > 2
-            assert kb_stationarity(Z, y - Z @ sol.theta, w, tau) <= certificate_slack(Z, w)
+            assert kb_stationarity(Z, y - Z @ sol.theta, w, tau) <= certificate_slack(Z, y, w)
 
     def test_interpolated_rows_score_tau(self):
         # an exact re-solve alone leaves a negative residual on 3 of these
@@ -243,36 +246,91 @@ def affine_direction(Z, w, tau, x, zl, zu):
     return s, dx, -zl * (1 + dx / x), -zu * (1 - dx / s)
 
 
+def corrector_direction(Z, w, tau, x, zl, zu):
+    """Mehrotra's corrected direction at (x, zl, zu), from the predictor's
+    step lengths by ratios: (s, dx, dzl, dzu)."""
+    s, dx, dzl, dzu = affine_direction(Z, w, tau, x, zl, zu)
+    ap, ad = ratio_step_lengths(x, s, zl, zu, dx, dzl, dzu)
+    gap = x @ zl + s @ zu
+    g = (x + ap * dx) @ (zl + ad * dzl) + (s - ap * dx) @ (zu + ad * dzu)
+    mu = gap * (g / gap) ** 3 / (2 * len(x))
+    D = 1.0 / (zl / x + zu / s)
+    q = zl - zu
+    dr = D * (mu * (1 / s - 1 / x) + dx * dzl / x + dx * dzu / s)
+    rhs = (1 - tau) * Z.T @ w - Z.T @ x + Z.T @ (D * q) + Z.T @ dr
+    dxc = D * (Z @ np.linalg.solve(Z.T @ (D[:, None] * Z), rhs) - q) - dr
+    return (s, dxc, (mu - zl * dxc - dx * dzl) / x - zl,
+            (mu + zu * dxc + dx * dzu) / s - zu)
+
+
+def ratio_step_lengths(x, s, zl, zu, dx, dzl, dzu):
+    """Oracle: FN_STEP of the smallest ratio to the boundary by division,
+    over the rows that move towards it, at most 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        primal = (np.where(dx < 0, x, s) / np.abs(dx)).min()
+        dual = min(np.where(dzl < 0, zl / -dzl, np.inf).min(),
+                   np.where(dzu < 0, zu / -dzu, np.inf).min())
+    return min(1.0, selqr.qr.FN_STEP * primal), min(1.0, selqr.qr.FN_STEP * dual)
+
+
+def closed_form_step_lengths(x, s, zl, zu, dx, dzl, dzu):
+    """qr._step_lengths from the reciprocals the interior point forms."""
+    def reciprocal(z):
+        return np.divide(1.0, z, out=np.zeros_like(z), where=z > 0)
+    return selqr.qr._step_lengths(1.0 / x, 1.0 / s, reciprocal(zl), reciprocal(zu),
+                                  dx, dzl, dzu)
+
+
+def positive_iterate(seed):
+    rng = np.random.default_rng(seed)
+    n = 200
+    Z = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+    w = rng.uniform(0.5, 3, n)
+    x = w * rng.uniform(0.01, 0.99, n)
+    zl, zu = rng.exponential(size=(2, n))
+    return Z, w, x, zl, zu
+
+
+def first_iterate(tau):
+    # at a = 0, zl = max(-r, 0) and zu = max(r, 0) are exactly zero on
+    # every row whose least-squares residual is not near zero
+    rng = np.random.default_rng(8)
+    n = 300
+    Z = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+    y, w = rng.standard_normal(n), rng.uniform(0.5, 3, n)
+    r = y - Z @ np.linalg.solve(Z.T @ Z, Z.T @ y)
+    return Z, w, (1 - tau) * w, np.maximum(-r, 0.0), np.maximum(r, 0.0)
+
+
 class TestStepLengths:
     @pytest.mark.parametrize("seed", range(5))
     def test_closed_form_on_positive_iterates(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 200
-        Z = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
-        w = rng.uniform(0.5, 3, n)
-        x = w * rng.uniform(0.01, 0.99, n)
-        zl, zu = rng.exponential(size=(2, n))
+        Z, w, x, zl, zu = positive_iterate(seed)
         s, dx, dzl, dzu = affine_direction(Z, w, 0.3, x, zl, zu)
-        assert_allclose(selqr.qr._predictor_step_lengths(zl, zu, dx / x, dx / s),
-                        selqr.qr._step_lengths(x, s, zl, zu, dx, dzl, dzu),
+        assert_allclose(closed_form_step_lengths(x, s, zl, zu, dx, dzl, dzu),
+                        ratio_step_lengths(x, s, zl, zu, dx, dzl, dzu),
                         rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75])
     def test_zero_slacks_of_the_first_iterate_block_nothing(self, tau):
-        # at a = 0, zl = max(-r, 0) and zu = max(r, 0) are exactly zero on
-        # every row whose least-squares residual is not near zero
-        rng = np.random.default_rng(8)
-        n = 300
-        Z = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
-        y, w = rng.standard_normal(n), rng.uniform(0.5, 3, n)
-        x = (1 - tau) * w
-        r = y - Z @ np.linalg.solve(Z.T @ Z, Z.T @ y)
-        zl, zu = np.maximum(-r, 0.0), np.maximum(r, 0.0)
+        Z, w, x, zl, zu = first_iterate(tau)
         assert (zl == 0).sum() > 100 and (zu == 0).sum() > 100
         s, dx, dzl, dzu = affine_direction(Z, w, tau, x, zl, zu)
-        reference = selqr.qr._step_lengths(x, s, zl, zu, dx, dzl, dzu)
+        reference = ratio_step_lengths(x, s, zl, zu, dx, dzl, dzu)
         assert min(reference) < 1.0
-        assert_allclose(selqr.qr._predictor_step_lengths(zl, zu, dx / x, dx / s),
+        assert_allclose(closed_form_step_lengths(x, s, zl, zu, dx, dzl, dzu),
+                        reference, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("start", ["positive", "first"])
+    def test_closed_form_on_a_corrector_direction(self, start):
+        # the corrector moves a zero slack up, by mu/x or mu/s, so there too
+        # it blocks nothing
+        Z, w, x, zl, zu = positive_iterate(0) if start == "positive" else first_iterate(0.5)
+        s, dx, dzl, dzu = corrector_direction(Z, w, 0.5, x, zl, zu)
+        assert (dzl[zl == 0] > 0).all() and (dzu[zu == 0] > 0).all()
+        reference = ratio_step_lengths(x, s, zl, zu, dx, dzl, dzu)
+        assert min(reference) < 1.0
+        assert_allclose(closed_form_step_lengths(x, s, zl, zu, dx, dzl, dzu),
                         reference, rtol=1e-12, atol=0)
 
 
@@ -291,9 +349,8 @@ def count_linprog_calls(monkeypatch):
 
 
 def certified(Z, y, w, tau, theta):
-    zero_tol = 1e-9 * max(1.0, np.abs(y).max())
-    return (kb_stationarity(Z, y - Z @ theta, w, tau, zero_tol=zero_tol)
-            <= certificate_slack(Z, w))
+    zero_tol, slack = selqr.qr._tolerances(Z, y, w)
+    return kb_stationarity(Z, y - Z @ theta, w, tau, zero_tol=zero_tol) <= slack
 
 
 def raise_linalg_error(*args):
@@ -344,6 +401,23 @@ class TestFallback:
         assert sol.objective == pytest.approx(lp_qr_objective(Z, y, w, 0.75),
                                               rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_highs_certifies_in_any_units_of_y(self, monkeypatch, scale):
+        # HiGHS's dual feasibility tolerance is absolute: posed in the raw
+        # units of y * 1e-12, dual simplex stopped at a vertex the
+        # certificate rejects on 9 of the generator's first 400 seeds, 114
+        # one of them
+        monkeypatch.setattr(selqr.qr, "_frisch_newton", raise_linalg_error)
+        rng = np.random.default_rng(114)
+        n = 30
+        Z = np.column_stack([np.ones(n), rng.integers(0, 3, (n, 2))]).astype(float)
+        y = rng.integers(0, 5, n).astype(float)
+        w = np.ones(n)
+        sol = solve(QuantileProblem(Z=Z, y=scale * y, w=w, tau=0.75))
+        assert sol.path == "highs" and certified(Z, scale * y, w, 0.75, sol.theta)
+        assert sol.objective == pytest.approx(scale * lp_qr_objective(Z, y, w, 0.75),
+                                              rel=1e-12, abs=1e-12 * scale)
+
     @pytest.mark.parametrize("n", [50, 200, 1000])
     def test_zero_outcome_needs_no_fallback(self, monkeypatch, n):
         # sum w|y| = 0 must not ask the interior point for a zero duality gap
@@ -382,7 +456,7 @@ class TestSeed42Fault:
         problem = seed42_iv_problem()
         keep = problem.w > 0
         Z, y, w = problem.Z[keep], problem.y[keep], problem.w[keep]
-        zero_tol = 1e-9 * max(1.0, np.abs(y).max())
+        zero_tol, _ = selqr.qr._tolerances(Z, y, w)
         theta, _ = selqr.qr._highs_vertex(Z, y, w, 0.5, zero_tol)
         assert certified(Z, y, w, 0.5, theta)
 
@@ -405,14 +479,16 @@ problems = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 200),
 
 class TestSolveProperties:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(**problems)
-    def test_tied_data_certified_at_the_lp_optimum(self, seed, n, d, tau):
+    @given(**problems, scale=st.sampled_from([1e-12, 1.0, 1e12]))
+    def test_tied_data_certified_at_the_lp_optimum(self, seed, n, d, tau, scale):
+        # y in other units; the oracle LP, whose tolerances are absolute,
+        # solves the unit-scale problem
         Z, y, w = random_problem(seed, n, d, tied=True)
         assume(np.linalg.matrix_rank(Z) == d)
-        sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
-        assert certified(Z, y, w, tau, sol.theta)
-        assert sol.objective == pytest.approx(lp_qr_objective(Z, y, w, tau),
-                                              rel=1e-12, abs=1e-12)
+        sol = solve(QuantileProblem(Z=Z, y=scale * y, w=w, tau=tau))
+        assert certified(Z, scale * y, w, tau, sol.theta)
+        assert sol.objective == pytest.approx(scale * lp_qr_objective(Z, y, w, tau),
+                                              rel=1e-12, abs=1e-12 * scale)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(**problems)
@@ -420,6 +496,6 @@ class TestSolveProperties:
         Z, y, w = random_problem(seed, n, d, tied=False)
         sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
         assert certified(Z, y, w, tau, sol.theta)
-        zero_tol = 1e-9 * max(1.0, np.abs(y).max())
+        zero_tol, _ = selqr.qr._tolerances(Z, y, w)
         assert np.array_equal(sol.theta,
                               selqr.qr._highs_vertex(Z, y, w, tau, zero_tol)[0])
