@@ -30,11 +30,13 @@ class CorrectedCDF:
 
     @classmethod
     def from_values(cls, y, g) -> "CorrectedCDF":
-        """Build from selected outcomes y and their weights g >= 0."""
+        """Build from finite selected outcomes y and weights g >= 0."""
         y = np.asarray(y, dtype=float)
         g = np.asarray(g, dtype=float)
         if y.size == 0:
             raise InputError("no selected rows to build a CDF from")
+        if y.shape != g.shape or not (np.isfinite(y).all() and np.isfinite(g).all()):
+            raise InputError("a CDF needs one finite weight per finite outcome")
         if (g < 0).any() or g.sum() <= 0:
             raise InputError("CDF weights must be nonnegative with positive sum")
         order = np.argsort(y, kind="stable")

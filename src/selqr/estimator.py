@@ -80,7 +80,7 @@ def _weighted_fit(data: ObservationSet, tau: float | Sequence[float], name: str,
     covs = inference.covariance(qsols, data, weights, bandwidth_mode)
     labels = tuple(data.z_labels())
     fits = [QuantileFit(tau=t, estimator=name, theta=qsol.theta, sigma=sigma,
-                        se=np.sqrt(np.clip(np.diag(sigma), 0.0, None) / data.n),
+                        se=np.sqrt(np.diag(sigma) / data.n),
                         ci=inference.confidence_intervals(qsol.theta, sigma,
                                                           data.n, CI_LEVEL),
                         labels=labels, qsol=qsol,

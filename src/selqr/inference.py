@@ -6,11 +6,13 @@ density-weighted design matrix, is estimated by sample analogs:
 
     M1 = E_n[ omega_i f_i Z_i Z_i' ]
     M0_i = Z_i omega_i psi_tau(u_i) + C_i
-    Sigma = M1^-1 E_n[ M0_i M0_i' ] M1^-1
+    Sigma = M1^-1 E_n[ M0_i M0_i' ] M1^-1 = E_n[ B_i B_i' ],  B_i = M1^-1 M0_i
 
 with f_i a kernel estimate of the conditional density of the outcome given
 (omega, Z) at the fitted quantile and C_i the first-stage term of the
 weights, `WeightVector.correction`, which is zero for known weights.
+`_density` estimates f, and `_sandwich` forms Sigma as the Gram matrix of
+the B_i, symmetric and positive semidefinite by construction.
 
 The density and the LSCV bandwidth search write each product Gaussian
 kernel as a constant times exp(-S), S a squared distance between bandwidth-
@@ -132,9 +134,9 @@ def conditional_density(y, v, levels, bandwidths):
            / sum_j prod_d K_hd(v_id - v_jd)
 
     bandwidths[0] belongs to the outcome kernel, the rest to the columns of
-    v (n x D, D may be 0: plain KDE). levels has shape (k, n): k outcome
-    values per row, each evaluated at that row's v. Returns an array of
-    levels' shape.
+    v (n x D, D may be 0: plain KDE; a vector is one column). levels has
+    shape (k, n): k outcome values per row, each evaluated at that row's v.
+    Returns an array of levels' shape.
 
     With t = y / (sqrt(2) h0) and u = v / (sqrt(2) h), the conditioning
     kernel of a row pair is prod(h)^-1 (2 pi)^(-D/2) exp(-S_ij), S_ij =
@@ -155,12 +157,13 @@ def conditional_density(y, v, levels, bandwidths):
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 2 or levels.shape[1] != len(y):
         raise InputError(f"levels must have shape (k, {len(y)})")
-    v = np.asarray(v, dtype=float).reshape(len(y), -1)
+    v = np.asarray(v, dtype=float)
+    v = v[:, None] if v.ndim == 1 else v
+    if v.ndim != 2 or len(v) != len(y):
+        raise InputError(f"v must have shape ({len(y)},) or ({len(y)}, D)")
     bandwidths = np.asarray(bandwidths, dtype=float)
-    if (bandwidths <= 0).any():
-        raise InputError("bandwidths must be positive")
-    if len(bandwidths) != 1 + v.shape[1]:
-        raise InputError("need one bandwidth for y plus one per conditioning column")
+    if len(bandwidths) != 1 + v.shape[1] or (bandwidths <= 0).any():
+        raise InputError("need one positive bandwidth for y and per column of v")
 
     out = np.empty(levels.shape)
     h0, hv = bandwidths[0], bandwidths[1:]
@@ -182,13 +185,44 @@ def conditional_density(y, v, levels, bandwidths):
 
 def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
     """Normal-quantile intervals theta_k +/- z * sqrt(sigma_kk / n) at any
-    level; every fit carries them at estimator.CI_LEVEL."""
+    level (estimator.CI_LEVEL in every fit); InputError if a sigma_kk < 0."""
     if not 0.0 < level < 1.0:
         raise InputError("confidence level must lie in (0, 1)")
-    theta = np.asarray(theta, dtype=float)
+    variances = np.diag(np.atleast_2d(sigma))
+    if (variances < 0).any():
+        raise InputError("sigma has a negative variance")
     z = ndtri(1.0 - (1.0 - level) / 2.0)
-    half = z * np.sqrt(np.clip(np.diag(np.atleast_2d(sigma)), 0.0, None) / n)
+    half = z * np.sqrt(variances / n)
     return np.column_stack([theta - half, theta + half])
+
+
+def _density(data: ObservationSet, omega: np.ndarray, Z: np.ndarray,
+             levels: np.ndarray, bandwidth_mode: str) -> tuple[np.ndarray, int]:
+    """The outcome's density at each row of levels (k x n_selected) on the
+    selected rows, given (omega, Z) less its columns constant there
+    (the intercept always is), and the count of those columns."""
+    if bandwidth_mode not in BANDWIDTH_MODES:
+        raise InputError(f"unknown bandwidth mode {bandwidth_mode!r}")
+    sel = data.selected
+    cond = np.column_stack([omega, Z])[sel]
+    keep_dims = ~(cond == cond[0]).all(axis=0)
+    y_sel, cond = data.y[sel], cond[:, keep_dims]
+    select = cv_bandwidths if bandwidth_mode == "cv" else default_bandwidths
+    bw = select(np.column_stack([y_sel, cond]))
+    return conditional_density(y_sel, cond, levels, bw), int((~keep_dims).sum())
+
+
+def _sandwich(Z: np.ndarray, m1: np.ndarray, M0: np.ndarray) -> np.ndarray:
+    """B'B / n with B = M0 M1^-1 and M1 = E_n[m1_i Z_i Z_i']. M0 has all n
+    rows; Z and m1 only those where m1 may be nonzero. NumericalError if M1
+    has no Cholesky factor."""
+    M1 = (Z * m1[:, None]).T @ Z / len(M0)
+    try:
+        M1_factor = scipy.linalg.cho_factor(M1)
+    except np.linalg.LinAlgError:
+        raise NumericalError("density-weighted design singular")
+    B = M0 @ scipy.linalg.cho_solve(M1_factor, np.eye(len(M1)))
+    return B.T @ B / len(M0)
 
 
 def covariance(qsols: Sequence[QuantileSolution], data: ObservationSet,
@@ -197,65 +231,28 @@ def covariance(qsols: Sequence[QuantileSolution], data: ObservationSet,
     """Plug-in covariance for weighted quantile fits at one level or several.
 
     qsols are solutions fitted with the same weights. Each level gives
-    (sigma, diagnostics), in order: sigma estimates the covariance of
-    sqrt(n)(theta_hat - theta), and the diagnostics are its minimum
-    eigenvalue before the PSD clip and the count of dropped constant
-    columns of (omega, Z). The conditioning data, bandwidths and kernel are
-    formed once for all levels; the scores, `weights.correction`, the
-    density-weighted design and the sandwich per level. bandwidth_mode is
-    one of BANDWIDTH_MODES.
+    (sigma, diagnostics), in order: sigma, a Gram matrix, estimates the
+    covariance of sqrt(n)(theta_hat - theta); the diagnostics are its
+    minimum eigenvalue and the count of dropped constant columns of
+    (omega, Z). `_density` runs once for all levels at bandwidth_mode, one
+    of BANDWIDTH_MODES; the scores and `_sandwich` run per level.
     """
     if not qsols:
         raise InputError("need at least one quantile level")
-    Z = data.design_z()
-    n = data.n
-    sel = data.selected
-    omega = weights.omega
-
-    # conditional density of the outcome given (omega, Z) on selected rows;
-    # constant conditioning dimensions carry no kernel information and are
-    # dropped (the intercept column always is)
-    cond = np.column_stack([omega, Z])[sel]
-    keep_dims = ~(cond == cond[0]).all(axis=0)
-    cond = cond[:, keep_dims]
-    y_sel = data.y[sel]
-    kernel_data = np.column_stack([y_sel, cond])
-    if bandwidth_mode == "rot":
-        bw = default_bandwidths(kernel_data)
-    elif bandwidth_mode == "cv":
-        bw = cv_bandwidths(kernel_data)
-    else:
-        raise InputError(f"unknown bandwidth mode {bandwidth_mode!r}")
-    y_filled = data.y_filled()
-    fitted = [Z @ q.theta for q in qsols]
-    f_sel = conditional_density(y_sel, cond, np.array([f[sel] for f in fitted]), bw)
-    diagnostics = {"conditioning_dims_dropped": int((~keep_dims).sum())}
+    Z, sel, omega = data.design_z(), data.selected, weights.omega
+    fitted = np.array([Z @ q.theta for q in qsols])
+    f_sel, dropped = _density(data, omega, Z, fitted[:, sel], bandwidth_mode)
 
     estimates = []
     for q, fitted_q, f_q in zip(qsols, fitted, f_sel):
         # the rows the LP interpolates have residual zero, whatever sign their
         # rounding noise has, so their score is tau (quantile_score's convention)
-        resid = np.where(sel, y_filled - fitted_q, 0.0)
+        resid = np.where(sel, data.y - fitted_q, 0.0)
         resid[list(q.active_set)] = 0.0
         psi = np.where(sel, quantile_score(resid, q.tau), 0.0)
-
-        f_all = np.zeros(n)
-        f_all[sel] = f_q
-        M1 = (Z * (omega * f_all)[:, None]).T @ Z / n
-        try:
-            M1_factor = scipy.linalg.cho_factor(M1)
-        except np.linalg.LinAlgError:
-            raise NumericalError("density-weighted design singular")
-
         M0 = Z * (omega * psi)[:, None] + weights.correction(psi, Z)
-        S = M0.T @ M0 / n
-        M1inv_S = scipy.linalg.cho_solve(M1_factor, S)
-        sigma = scipy.linalg.cho_solve(M1_factor, M1inv_S.T).T
-        sigma = 0.5 * (sigma + sigma.T)
-        eigvals, eigvecs = np.linalg.eigh(sigma)
-        min_eig = float(eigvals.min())
-        if min_eig < 0.0:
-            sigma = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
-            sigma = 0.5 * (sigma + sigma.T)
-        estimates.append((sigma, {"min_eigenvalue": min_eig, **diagnostics}))
+        sigma = _sandwich(Z[sel], omega[sel] * f_q, M0)
+        estimates.append((sigma, {
+            "min_eigenvalue": float(np.linalg.eigvalsh(sigma)[0]),
+            "conditioning_dims_dropped": dropped}))
     return estimates

@@ -3,11 +3,16 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import selqr
 from selqr import (ColumnMap, InputError, NumericalError, ObservationSet,
                    SimulationSpec, corrected_cdf, default_plan, first_stage,
                    fit, fit_mar, fit_semiparametric_iv, generate, ingest_csv,
@@ -432,3 +437,25 @@ class TestCdfCommand:
                 (-1.5e17, float("nan"), float("inf")), (2.0, 0.25, 1e16)]
         for sample in (rows, []):
             assert _cdf_csv(sample) == via_csv_writer(sample)
+
+
+def test_fit_report_does_not_depend_on_blas_threads(tmp_path):
+    # two processes, one and two BLAS threads, write the same bytes
+    gd = generate(SimulationSpec("C", "M2", n=1500, reps=1, seed=5), 0)
+    csv_path = tmp_path / "d.csv"
+    write_csv(csv_path, gd.data)
+    path = os.pathsep.join(filter(None, [str(Path(selqr.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    procs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": path}
+        procs.append(subprocess.Popen(
+            [sys.executable, "-m", "selqr.cli", "fit", "--data", str(csv_path),
+             "--map", "d=d,y=y,w=w0,x=x0", "--tau", "0.25,0.5,0.75",
+             "--estimators", "uncorrected,mar,semiparametric_iv",
+             "--out", str(tmp_path / f"threads{threads}.json")], env=env))
+    assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    assert ((tmp_path / "threads1.json").read_bytes()
+            == (tmp_path / "threads2.json").read_bytes())

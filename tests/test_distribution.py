@@ -48,6 +48,19 @@ class TestCorrectedCDF:
         with pytest.raises(InputError):
             CorrectedCDF.from_values(np.array([]), np.array([]))
 
+    @pytest.mark.parametrize("y, g", [
+        ([1.0, 2.0, 3.0], [1.0] * 5),
+        ([1.0, 2.0, 3.0], [1.0, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, np.nan, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, np.inf, 1.0]),
+        ([1.0, np.nan, 3.0], [1.0] * 3),
+        ([1.0, -np.inf, 3.0], [1.0] * 3),
+    ], ids=["more-weights", "fewer-weights", "nan-weight", "inf-weight",
+            "nan-outcome", "inf-outcome"])
+    def test_malformed_inputs_error(self, y, g):
+        with pytest.raises(InputError):
+            CorrectedCDF.from_values(np.array(y), np.array(g))
+
 
 class TestQuantileFromCDF:
     def test_uniform_median(self):

@@ -115,9 +115,11 @@ class TestKernelExactness:
         for level, f_level in zip(levels, f):
             assert np.array_equal(f_level, conditional_density(y, v, level[None], h)[0])
             self.assert_matches_oracle(f_level, self.oracle(y, v, level, h))
-        for bad in (levels[0], levels[None], levels[:, 1:]):
+        # v of half the rows and twice the columns has n x D entries
+        for bad_v, bad_levels in ((v, levels[0]), (v, levels[None]),
+                                  (v, levels[:, 1:]), (v.reshape(350, 2 * d), levels)):
             with pytest.raises(InputError, match="shape"):
-                conditional_density(y, v, bad, h)
+                conditional_density(y, bad_v, bad_levels, h)
 
     def test_conditional_density_does_not_depend_on_block_rows(self, monkeypatch):
         y, v, levels, h = self.sample(50, 2, 3)
@@ -252,10 +254,15 @@ class TestCovariance:
                              for q in (qsol, nudged))
             assert_allclose(nudged_se, se, rtol=1e-10)
 
-    def test_sigma_symmetric_psd(self, dataset_m2):
-        qf = fit_semiparametric_iv(dataset_m2.data, 0.5)
-        assert_allclose(qf.sigma, qf.sigma.T)
-        assert np.linalg.eigvalsh(qf.sigma).min() >= -1e-12
+    @pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+    def test_sigma_symmetric_psd(self, dataset_m2, name):
+        # sigma is a Gram matrix: symmetric and PSD with no repair, and se
+        # is the root of its diagonal over n exactly
+        data = dataset_m2.data
+        for qf in fit(data, [0.25, 0.5, 0.75], name):
+            assert np.array_equal(qf.sigma, qf.sigma.T)
+            assert np.linalg.eigvalsh(qf.sigma).min() >= 0
+            assert np.array_equal(qf.se, np.sqrt(np.diag(qf.sigma) / data.n))
 
     def test_psd_before_clipping(self, dataset_m2):
         data = dataset_m2.data
@@ -329,6 +336,11 @@ class TestConfidenceIntervals:
     def test_bad_level(self):
         with pytest.raises(InputError):
             confidence_intervals([0.0], [[1.0]], n=10, level=1.5)
+
+    def test_negative_variance_errors(self):
+        with pytest.raises(InputError, match="negative variance"):
+            confidence_intervals([0.0, 1.0], [[1.0, 0.0], [0.0, -1e-300]], n=10,
+                                 level=0.95)
 
 
 def test_near_constant_weight_dimension_dropped(data_mnar):
