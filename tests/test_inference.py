@@ -254,15 +254,15 @@ class TestCovariance:
                              for q in (qsol, nudged))
             assert_allclose(nudged_se, se, rtol=1e-10)
 
-    @pytest.mark.parametrize("name", ESTIMATOR_NAMES)
-    def test_sigma_symmetric_psd(self, dataset_m2, name):
+    def test_sigma_symmetric_psd(self, dataset_m2):
         # sigma is a Gram matrix: symmetric and PSD with no repair, and se
-        # is the root of its diagonal over n exactly
+        # is the root of its diagonal over n exactly, for every estimator
         data = dataset_m2.data
-        for qf in fit(data, [0.25, 0.5, 0.75], name):
-            assert np.array_equal(qf.sigma, qf.sigma.T)
-            assert np.linalg.eigvalsh(qf.sigma).min() >= 0
-            assert np.array_equal(qf.se, np.sqrt(np.diag(qf.sigma) / data.n))
+        for name in ESTIMATOR_NAMES:
+            for qf in fit(data, [0.25, 0.5, 0.75], name):
+                assert np.array_equal(qf.sigma, qf.sigma.T), name
+                assert np.linalg.eigvalsh(qf.sigma).min() >= 0, name
+                assert np.array_equal(qf.se, np.sqrt(np.diag(qf.sigma) / data.n)), name
 
     def test_psd_before_clipping(self, dataset_m2):
         data = dataset_m2.data
