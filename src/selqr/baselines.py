@@ -54,9 +54,11 @@ def probit_fit(d: np.ndarray, X: np.ndarray) -> ProbitFit:
     PROBIT_MAX_ITER Newton steps and after the last one, so a returned fit
     has converged (below PROBIT_DECREMENT_TOL). Raises NumericalError on
     detected separation (diverging linear predictor) and when no check passes.
+    A 1-D X is one column.
     """
     d = np.asarray(d, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
+    X = X[:, None] if X.ndim == 1 else np.atleast_2d(X)
     if set(np.unique(d)) - {0.0, 1.0}:
         raise InputError("probit response must be binary")
     if len(np.unique(d)) < 2:

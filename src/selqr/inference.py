@@ -48,8 +48,10 @@ CV_MAX_ROWS = 2000       # LSCV subsamples larger kernel data to this many rows
 
 
 def default_bandwidths(V: np.ndarray) -> np.ndarray:
-    """Rule-of-thumb bandwidths h_d = 1.06 sigma_d m^(-1/(4+d)) per column."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
+    """Rule-of-thumb bandwidths h_d = 1.06 sigma_d m^(-1/(4+d)) per column;
+    a 1-D V is one column."""
+    V = np.asarray(V, dtype=float)
+    V = V[:, None] if V.ndim == 1 else np.atleast_2d(V)
     if V.shape[0] < 2:
         raise InputError("need at least two rows for bandwidth selection")
     m, d_total = V.shape
@@ -98,9 +100,10 @@ def cv_bandwidths(V: np.ndarray) -> np.ndarray:
 
     The sums over all m x m row pairs are streamed over blocks of
     BLOCK_ROWS rows: working memory is 2 * BLOCK_ROWS * m floats (2 MB at
-    m = 2000), not O(m^2 d).
+    m = 2000), not O(m^2 d). A 1-D V is one column.
     """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
+    V = np.asarray(V, dtype=float)
+    V = V[:, None] if V.ndim == 1 else np.atleast_2d(V)
     h0 = default_bandwidths(V)
     if len(V) > CV_MAX_ROWS:
         idx = np.unique(np.linspace(0, len(V) - 1, CV_MAX_ROWS).round().astype(int))
@@ -185,10 +188,14 @@ def conditional_density(y, v, levels, bandwidths):
 
 def confidence_intervals(theta, sigma, n: int, level: float) -> np.ndarray:
     """Normal-quantile intervals theta_k +/- z * sqrt(sigma_kk / n) at any
-    level (estimator.CI_LEVEL in every fit); InputError if a sigma_kk < 0."""
+    level (estimator.CI_LEVEL in every fit); InputError unless sigma is
+    k x k for k coefficients, or if a sigma_kk < 0."""
     if not 0.0 < level < 1.0:
         raise InputError("confidence level must lie in (0, 1)")
-    variances = np.diag(np.atleast_2d(sigma))
+    theta, sigma = np.asarray(theta, dtype=float), np.asarray(sigma, dtype=float)
+    if sigma.shape != (len(theta), len(theta)):
+        raise InputError(f"sigma must have shape ({len(theta)}, {len(theta)})")
+    variances = np.diag(sigma)
     if (variances < 0).any():
         raise InputError("sigma has a negative variance")
     z = ndtri(1.0 - (1.0 - level) / 2.0)

@@ -10,25 +10,23 @@ an LP with d equality rows and n box-bounded columns, whose equality
 multipliers are theta. Two paths solve it:
 
 1. A Frisch-Newton interior point (Portnoy & Koenker 1997; quantreg's
-   `rq.fit.fnb`). The first d linearly independent rows in order of
-   |residual| at its last iterate, on continuous data the d smallest, are
-   taken as the vertex, and theta is re-solved from them. At n in the
-   thousands and d of a few, an iteration is about a hundred numpy calls
-   of microseconds each, so it calls LAPACK's Cholesky routines directly and
-   takes every step length in one closed form (`_frisch_newton`).
+   `rq.fit.fnb`). At n in the thousands and d of a few, an iteration is
+   about a hundred numpy calls of microseconds each, so it calls LAPACK's
+   Cholesky routines directly and takes every step length in one closed
+   form (`_frisch_newton`).
 2. HiGHS dual simplex, when the interior point stops short or its vertex
-   fails the certificate. At its basic solution the d basic columns are
-   rows whose residual is zero; where exactly d residuals are zero, theta
-   is re-solved from those rows.
+   fails the certificate (`_highs_vertex`). Its optimal point can have
+   fewer than d zero residuals on tied data, so it need not be a vertex.
+
+Both paths hand their point to one vertex rule (`_vertex`): the first d
+linearly independent rows in order of |residual|, on continuous data the
+d smallest, are taken as the vertex, and theta is re-solved from them.
+The exact Koenker-Bassett optimality condition (`kb_stationarity`) alone
+then decides which vertex is returned, and the solution records the path
+that gave it and that path's iteration count.
 
 No tolerance has a unit floor, and the rank check scales Z's columns, so
 y or a column of Z in other units rescales theta and changes nothing else.
-
-Each solution records which path returned it and that path's iteration
-count.
-
-The exact Koenker-Bassett optimality condition (`kb_stationarity`) alone
-decides which point is returned: every returned point has passed it.
 
 The same inputs always give the same output. When the minimum is unique,
 which is the generic case for continuous data, both paths reach the same
@@ -77,8 +75,8 @@ def quantile_score(u, tau: float):
 
 @dataclass(frozen=True)
 class QuantileProblem:
-    """Design Z (first column constant), outcome y, finite weights w >= 0,
-    level tau.
+    """Design Z (first column constant; a 1-D Z is that column), outcome y,
+    finite weights w >= 0, level tau.
 
     Rows with w_i = 0 are dropped before solving; their y and Z values may
     be NaN.
@@ -90,7 +88,8 @@ class QuantileProblem:
     tau: float
 
     def __post_init__(self):
-        Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
+        Z = np.asarray(self.Z, dtype=float)
+        Z = Z[:, None] if Z.ndim == 1 else np.atleast_2d(Z)
         y = np.asarray(self.y, dtype=float)
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "Z", Z)
@@ -115,7 +114,7 @@ class QuantileProblem:
 class QuantileSolution:
     theta: np.ndarray
     objective: float
-    active_set: tuple[int, ...]   # row indices interpolated at the vertex
+    active_set: tuple[int, ...]   # rows within zero_tol of the fit, d or more
     tau: float
     path: str                     # "interior_point" or "highs"
     iterations: int               # of the path that returned theta
@@ -124,40 +123,42 @@ class QuantileSolution:
 def solve(problem: QuantileProblem) -> QuantileSolution:
     """Exact minimizer of the weighted check loss, from the dual LP.
 
-    The Frisch-Newton interior point runs first (`_interior_point_vertex`).
-    When it reaches FN_MAX_ITER, when a Cholesky factorization fails, or
-    when its vertex fails the certificate, HiGHS dual simplex solves the
-    same LP (`_highs_vertex`). Each path re-solves theta from d rows where
-    it identifies them, so the vertex interpolates them to rounding, with
-    nonnegative residuals (`_interpolate`). The returned point passes the
-    Koenker-Bassett certificate (`kb_stationarity`), computed from the data
-    and theta alone; when the HiGHS point fails it too, solve raises
-    NumericalError.
+    The Frisch-Newton interior point runs first (`_frisch_newton`). When it
+    reaches FN_MAX_ITER, when a Cholesky factorization fails, or when its
+    vertex fails the certificate, HiGHS dual simplex solves the same LP
+    (`_highs_vertex`). Each path's point goes through the same vertex rule
+    (`_vertex`), which re-solves theta from d linearly independent rows, so
+    the vertex interpolates them to rounding with nonnegative residuals,
+    and then through the Koenker-Bassett certificate (`kb_stationarity`),
+    computed from the data and theta alone. The first certified vertex is
+    returned; when neither path gives one, solve raises NumericalError.
     """
     keep = problem.w > 0
     Z, y, w = problem.Z[keep], problem.y[keep], problem.w[keep]
     scale = np.abs(Z).max(axis=0)
-    if not scale.all() or np.linalg.matrix_rank(Z / scale) < Z.shape[1]:
+    if not scale.all() or np.linalg.matrix_rank(scaled := Z / scale) < Z.shape[1]:
         raise NumericalError("rank-deficient quantile design")
     tau = problem.tau
     zero_tol, slack = _tolerances(Z, y, w)
-
-    def certified(theta):
-        return kb_stationarity(Z, y - Z @ theta, w, tau, zero_tol=zero_tol) <= slack
-
-    path, found = "interior_point", _interior_point_vertex(Z, y, w, tau)
-    if found is None or not certified(found[0]):
-        path, found = "highs", _highs_vertex(Z, y, w, tau, zero_tol)
-        if not certified(found[0]):
-            raise NumericalError("quantile solution violates the optimality certificate")
-    theta, iterations = found
-    resid = y - Z @ theta
+    for path, lp in (("interior_point", _frisch_newton), ("highs", _highs_vertex)):
+        try:
+            found = lp(Z, y, w, tau)
+        except np.linalg.LinAlgError:
+            continue
+        if found is None:
+            continue
+        theta = _vertex(Z, scaled, y, found[0])
+        resid = y - Z @ theta
+        if kb_stationarity(Z, resid, w, tau, zero_tol) <= slack:
+            break
+    else:
+        raise NumericalError("quantile solution violates the optimality certificate")
     zero = np.abs(resid) <= zero_tol
     objective = float(np.sum(w * check_loss(resid, tau)))
     orig = np.flatnonzero(keep)
     return QuantileSolution(theta=theta, objective=objective,
                             active_set=tuple(int(i) for i in orig[zero]), tau=tau,
-                            path=path, iterations=iterations)
+                            path=path, iterations=found[1])
 
 
 def _tolerances(Z, y, w):
@@ -165,31 +166,23 @@ def _tolerances(Z, y, w):
     return 1e-9 * np.abs(y).max(), 1e-6 * float(np.abs(w @ np.abs(Z)).max())
 
 
-def _interior_point_vertex(Z, y, w, tau):
-    """The vertex the interior point ends at, with its iteration count, or
-    None when it stops short.
+def _vertex(Z, scaled, y, theta):
+    """The vertex solve takes from theta, a point of either path.
 
-    Going through the rows in order of |y - Z theta| at the last iterate,
-    the first d that are linearly independent are re-solved in index order
-    (`_interpolate`). On continuous data these are the d rows of smallest
-    |residual|, and on the same rows the vertex is bit for bit that of
-    `_highs_vertex`. On tied data, a row that depends linearly on rows
-    already taken (the same row of Z, say) is skipped.
+    Going through the rows in order of |y - Z theta|, the first d whose
+    rows of the column-scaled design are linearly independent are re-solved
+    in index order (`_interpolate`). On continuous data these are the d rows
+    of smallest |residual|. On tied data, a row that depends linearly on
+    rows already taken (the same row of Z, say) is skipped. solve's rank
+    check of the same scaled design leaves d such rows in any units of Z.
     """
-    try:
-        result = _frisch_newton(Z, y, w, tau)
-    except np.linalg.LinAlgError:
-        return None
-    if result is None:
-        return None
-    theta, iterations = result
     rows = []
     for i in np.argsort(np.abs(y - Z @ theta), kind="stable"):
-        if np.linalg.matrix_rank(Z[rows + [i]]) > len(rows):
+        if np.linalg.matrix_rank(scaled[rows + [i]]) > len(rows):
             rows.append(i)
             if len(rows) == Z.shape[1]:
-                return _interpolate(Z, y, np.sort(rows), theta), iterations
-    return None
+                return _interpolate(Z, y, np.sort(rows))
+    raise NumericalError("rank-deficient quantile design")
 
 
 def _frisch_newton(Z, y, w, tau):
@@ -280,54 +273,44 @@ def _step_lengths(xi, si, zli, zui, dx, dzl, dzu):
     return FN_STEP / primal, FN_STEP / dual
 
 
-def _highs_vertex(Z, y, w, tau, zero_tol):
+def _highs_vertex(Z, y, w, tau):
     """HiGHS dual simplex on the dual LP: (theta, simplex iterations), theta
-    from its equality multipliers, re-solved (`_interpolate`) where exactly
-    d residuals are within zero_tol."""
+    its equality multipliers."""
     from scipy.optimize import linprog     # loaded only when a solve falls back
-    d = Z.shape[1]
     # HiGHS's dual tolerance is absolute: pose the LP in y over a power of
     # two near max |y|, which scales it and the multipliers exactly
     unit = 2.0 ** np.frexp(np.abs(y).max())[1]
     # a = 0 is feasible and the box bounds the objective, so a nonzero
     # status can only be an iteration or time limit
-    res = linprog(-y / unit, A_eq=Z.T, b_eq=np.zeros(d),
+    res = linprog(-y / unit, A_eq=Z.T, b_eq=np.zeros(Z.shape[1]),
                   bounds=np.column_stack([-(1 - tau) * w, tau * w]),
                   method="highs-ds",
                   options={"dual_feasibility_tolerance": HIGHS_DUAL_FEASIBILITY_TOL})
     if res.status != 0:
         raise NumericalError(f"quantile LP failed: {res.message}")
-    theta = -res.eqlin.marginals * unit
-    zero = np.abs(y - Z @ theta) <= zero_tol
-    if zero.sum() == d:
-        theta = _interpolate(Z, y, zero, theta)
-    return theta, int(res.nit)
+    return -res.eqlin.marginals * unit, int(res.nit)
 
 
-def _interpolate(Z, y, rows, theta):
-    """Re-solve theta from the d rows of a nondegenerate vertex.
+def _interpolate(Z, y, rows):
+    """Re-solve theta from the d rows of a vertex, Z[rows] nonsingular.
 
     Their residuals y - Z theta, computed over all rows as solve computes
     them, come out nonnegative, so quantile_score gives them tau, its value
     at zero, rather than the sign of rounding noise: when the exact solve
     leaves one negative, the targets are lowered by 1, 2, 4, ... ulps of
-    max |y_rows| until none is. Returns the given theta if Z[rows] is
-    singular.
+    max |y_rows| until none is.
     """
     Zh, yh = Z[rows], y[rows]
     shift, ulp = 0.0, np.spacing(np.abs(yh).max())
     for k in range(INTERPOLATE_STEPS):
-        try:
-            theta = np.linalg.solve(Zh, yh - shift)
-        except np.linalg.LinAlgError:
-            return theta
+        theta = np.linalg.solve(Zh, yh - shift)
         if ((y - Z @ theta)[rows] >= 0).all():
             break
         shift = ulp * 2.0 ** k
     return theta
 
 
-def kb_stationarity(Z, resid, w, tau, zero_tol=1e-9) -> float:
+def kb_stationarity(Z, resid, w, tau, zero_tol) -> float:
     """Distance of theta from the Koenker-Bassett optimality condition.
 
     theta minimizes sum_i w_i rho_tau(r_i) exactly when one score vector a,
@@ -338,9 +321,11 @@ def kb_stationarity(Z, resid, w, tau, zero_tol=1e-9) -> float:
     nondegenerate vertex (|h| = d, Z_h nonsingular) a_h is the unique
     solution of that d x d system, clipped to the box; otherwise it is the
     bounded least-squares solution. Returns max_k |(Z'a)_k|, which is zero,
-    up to rounding, exactly when theta is optimal.
+    up to rounding, exactly when theta is optimal. Residuals within zero_tol
+    count as zero, and a 1-D Z is one column.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Z = np.asarray(Z, dtype=float)
+    Z = Z[:, None] if Z.ndim == 1 else np.atleast_2d(Z)
     resid = np.asarray(resid, dtype=float)
     w = np.asarray(w, dtype=float)
     zero = np.abs(resid) <= zero_tol

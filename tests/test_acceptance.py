@@ -214,7 +214,7 @@ def test_criterion_9_property_suite(table_m2):
     y = rng.standard_normal(n)
     w = rng.uniform(1, 3, n)
     sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=0.3))
-    assert selqr.qr.kb_stationarity(Z, y - Z @ sol.theta, w, 0.3) <= 1e-7
+    assert selqr.qr.kb_stationarity(Z, y - Z @ sol.theta, w, 0.3, zero_tol=1e-9) <= 1e-7
     scaled = solve(QuantileProblem(Z=Z, y=y, w=3.0 * w, tau=0.3))
     assert_allclose(scaled.theta, sol.theta, atol=1e-8)
     gamma = np.array([1.0, -0.5, 0.25])

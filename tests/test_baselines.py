@@ -15,6 +15,8 @@ class TestProbit:
         d = np.array([0, 1] * 50)
         fit = probit_fit(d, np.ones((100, 1)))
         assert_allclose(fit.gamma, [0.0], atol=1e-8)
+        vector = probit_fit(d, np.ones(100))     # a 1-D X is one column
+        assert np.array_equal(vector.gamma, fit.gamma) and vector.iterations == fit.iterations
 
     def test_intercept_only_seventy_percent(self):
         d = np.array([1] * 70 + [0] * 30)

@@ -28,6 +28,8 @@ class TestDefaultBandwidths:
         V = (V - V.mean(axis=0)) / V.std(axis=0, ddof=1)   # unit sample sd
         h = default_bandwidths(V)
         assert_allclose(h, 1.06 * 10000 ** (-1 / 8), atol=1e-12)
+        # a 1-D sample is one column
+        assert np.array_equal(default_bandwidths(V[:, 0]), default_bandwidths(V[:, :1]))
 
     def test_constant_column_errors(self):
         V = np.column_stack([np.ones(50), np.arange(50.0)])
@@ -141,7 +143,10 @@ class TestKernelExactness:
             tied[:, -1] = rng.integers(0, 4, m)    # many pairs at distance zero
             inputs += [V, tied]
         for V in inputs:
-            assert np.array_equal(cv_bandwidths(V), cv_bandwidths_reference(V))
+            h = cv_bandwidths(V)
+            assert np.array_equal(h, cv_bandwidths_reference(V))
+            if V.shape[1] == 1:    # a 1-D sample is one column
+                assert np.array_equal(cv_bandwidths(V[:, 0]), h)
 
     def test_cv_bandwidths_match_reference_when_subsampling(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -336,6 +341,13 @@ class TestConfidenceIntervals:
     def test_bad_level(self):
         with pytest.raises(InputError):
             confidence_intervals([0.0], [[1.0]], n=10, level=1.5)
+
+    @pytest.mark.parametrize("sigma", [[1.0, 4.0], [[1.0, 0.0, 0.0], [0.0, 4.0, 0.0]]],
+                             ids=["variance_vector", "wide"])
+    def test_sigma_must_be_square_in_the_coefficients(self, sigma):
+        # a vector of variances once gave both coefficients the first one
+        with pytest.raises(InputError, match="shape"):
+            confidence_intervals([0.0, 1.0], sigma, n=1, level=0.95)
 
     def test_negative_variance_errors(self):
         with pytest.raises(InputError, match="negative variance"):

@@ -52,6 +52,13 @@ class TestSolve:
     def test_weighted_median_forces_largest_point(self):
         sol = solve(intercept_problem([1, 2, 4], [1, 1, 3], 0.5))
         assert_allclose(sol.theta, [4.0], atol=1e-9)
+        # a 1-D Z is one column, in the problem and in the certificate
+        y, w = np.array([1.0, 2.0, 4.0]), np.array([1.0, 1.0, 3.0])
+        vector = solve(QuantileProblem(Z=np.ones(3), y=y, w=w, tau=0.5))
+        assert np.array_equal(vector.theta, sol.theta) and vector.objective == sol.objective
+        resid = y - sol.theta
+        assert (kb_stationarity(np.ones(3), resid, w, 0.5, zero_tol=1e-9)
+                == kb_stationarity(np.ones((3, 1)), resid, w, 0.5, zero_tol=1e-9))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(17)
@@ -114,7 +121,7 @@ class TestSolve:
             y = rng.standard_normal(n)
             w = rng.uniform(1, 3, n)
             sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=0.35))
-            assert kb_stationarity(Z, y - Z @ sol.theta, w, 0.35) <= 1e-7
+            assert kb_stationarity(Z, y - Z @ sol.theta, w, 0.35, zero_tol=1e-9) <= 1e-7
 
     def test_zero_weight_rows_dropped(self):
         y = np.array([1.0, np.nan, 3.0, 2.0])
@@ -177,7 +184,7 @@ class TestCertificate:
         resid = y - Z @ theta
         _, obj_oracle = brute_force_qr(Z, y, w, tau)
         assert np.sum(w * check_loss(resid, tau)) > obj_oracle + 0.3
-        assert kb_stationarity(Z, resid, w, tau) > 0.5
+        assert kb_stationarity(Z, resid, w, tau, zero_tol=1e-9) > 0.5
 
     def test_solve_rejects_a_non_optimal_vertex(self, monkeypatch):
         # both paths are handed the same non-optimal vertex
@@ -203,7 +210,8 @@ class TestCertificate:
                 theta = np.linalg.solve(Z[list(rows)], y[list(rows)])
                 resid = y - Z @ theta
                 optimal = np.sum(w * check_loss(resid, tau)) <= obj_oracle + 1e-9
-                accepted = kb_stationarity(Z, resid, w, tau) <= certificate_slack(Z, y, w)
+                accepted = (kb_stationarity(Z, resid, w, tau, zero_tol=1e-9)
+                            <= certificate_slack(Z, y, w))
                 assert accepted == optimal
 
     def test_degenerate_optimum_passes(self):
@@ -218,7 +226,8 @@ class TestCertificate:
         for tau in (0.25, 0.5, 0.8):
             sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
             assert len(sol.active_set) > 2
-            assert kb_stationarity(Z, y - Z @ sol.theta, w, tau) <= certificate_slack(Z, y, w)
+            assert (kb_stationarity(Z, y - Z @ sol.theta, w, tau, zero_tol=1e-9)
+                    <= certificate_slack(Z, y, w))
 
     def test_interpolated_rows_score_tau(self):
         # an exact re-solve alone leaves a negative residual on 3 of these
@@ -415,6 +424,8 @@ class TestFallback:
         w = np.ones(n)
         sol = solve(QuantileProblem(Z=Z, y=scale * y, w=w, tau=0.75))
         assert sol.path == "highs" and certified(Z, scale * y, w, 0.75, sol.theta)
+        # HiGHS's own point here has only 2 zero residuals: not a vertex
+        assert len(sol.active_set) >= 3
         assert sol.objective == pytest.approx(scale * lp_qr_objective(Z, y, w, 0.75),
                                               rel=1e-12, abs=1e-12 * scale)
 
@@ -456,9 +467,13 @@ class TestSeed42Fault:
         problem = seed42_iv_problem()
         keep = problem.w > 0
         Z, y, w = problem.Z[keep], problem.y[keep], problem.w[keep]
-        zero_tol, _ = selqr.qr._tolerances(Z, y, w)
-        theta, _ = selqr.qr._highs_vertex(Z, y, w, 0.5, zero_tol)
-        assert certified(Z, y, w, 0.5, theta)
+        assert certified(Z, y, w, 0.5, highs_vertex(Z, y, w, 0.5))
+
+
+def highs_vertex(Z, y, w, tau):
+    """The vertex solve takes from the HiGHS path's point."""
+    theta, _ = selqr.qr._highs_vertex(Z, y, w, tau)
+    return selqr.qr._vertex(Z, Z / np.abs(Z).max(axis=0), y, theta)
 
 
 def random_problem(seed, n, d, tied):
@@ -489,6 +504,8 @@ class TestSolveProperties:
         assert certified(Z, scale * y, w, tau, sol.theta)
         assert sol.objective == pytest.approx(scale * lp_qr_objective(Z, y, w, tau),
                                               rel=1e-12, abs=1e-12 * scale)
+        active = list(sol.active_set)
+        assert len(active) >= d and np.linalg.matrix_rank(Z[active]) == d
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(**problems)
@@ -496,6 +513,4 @@ class TestSolveProperties:
         Z, y, w = random_problem(seed, n, d, tied=False)
         sol = solve(QuantileProblem(Z=Z, y=y, w=w, tau=tau))
         assert certified(Z, y, w, tau, sol.theta)
-        zero_tol, _ = selqr.qr._tolerances(Z, y, w)
-        assert np.array_equal(sol.theta,
-                              selqr.qr._highs_vertex(Z, y, w, tau, zero_tol)[0])
+        assert np.array_equal(sol.theta, highs_vertex(Z, y, w, tau))
