@@ -5,10 +5,10 @@ basis with the instrument basis as instruments, giving the unconstrained
 coefficient vector beta_u of g_u(y, x). `weights` turns the fit into
 per-observation weights D_i * max(g_u(Y_i, X_i), 1): the fitted values
 floored at one, i.e. the value vector projected onto the feasible orthant,
-untouched wherever the bound already holds. This is the one weighting rule.
-The weights carry their first-stage fit, and `WeightVector.correction` is
-the covariance's first-stage term. That term differentiates these floored
-weights: only rows above the floor move with beta.
+untouched wherever the bound already holds. This is the one weighting rule,
+and `weights` alone knows it: it also forms the weights' beta-derivative and
+each row's influence on beta_u, which `WeightVector.correction` turns into
+the covariance's first-stage term by one two-step formula.
 
 `cone_project` is the audited constrained sieve fit: it projects the fitted
 function onto the cone of functions bounded below by one within the spline
@@ -52,46 +52,47 @@ class FirstStageFit:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Selection weights omega_i = D_i * g(Y_i, X_i), with the first-stage
-    fit they were estimated from, or None for weights treated as known."""
+    """Selection weights omega_i = D_i * g(Y_i, X_i); estimated weights also
+    carry their two-step ingredients, n x J each: d_omega, rows d omega_i /
+    d beta, and beta_influence, rows IF_i, row i's influence on beta_hat."""
 
     omega: np.ndarray
     selected: np.ndarray
-    first_stage: FirstStageFit | None = None
+    d_omega: np.ndarray | None = None
+    beta_influence: np.ndarray | None = None
 
     def __post_init__(self):
         # copy before freezing so a caller-owned array stays writable
-        omega = np.array(self.omega, dtype=float)
-        omega.setflags(write=False)
-        object.__setattr__(self, "omega", omega)
+        for name in ("omega", "d_omega", "beta_influence"):
+            if getattr(self, name) is not None:
+                frozen = np.array(getattr(self, name), dtype=float)
+                frozen.setflags(write=False)
+                object.__setattr__(self, name, frozen)
+        omega, d_omega, influence = self.omega, self.d_omega, self.beta_influence
         if np.asarray(self.selected).dtype != bool:
             raise InputError("selection flags must be boolean")
         if omega.shape != np.shape(self.selected):
             raise InputError(f"{omega.shape} weights for "
                              f"{np.shape(self.selected)} selection flags")
+        if (d_omega is None) != (influence is None) or d_omega is not None and (
+                d_omega.ndim != 2 or d_omega.shape != influence.shape
+                or d_omega.shape[:1] != omega.shape):
+            raise InputError("d_omega and beta_influence must both be n x J "
+                             "for n weights, or both be absent")
         if not np.isfinite(omega).all():
             raise NumericalError("weights must be finite")
         if (omega[~self.selected] != 0).any():
             raise NumericalError("weights must vanish exactly on unselected rows")
-        if (omega[self.selected] < 1.0 - FEASIBILITY_TOL).any():
+        if (omega[self.selected] < 1.0).any():
             raise NumericalError("selected-row weights must be >= 1")
 
     def correction(self, psi: np.ndarray, Z: np.ndarray) -> np.ndarray | float:
-        """First-stage term T' influence b_i UJ_i of the influence function
-        at scores psi (zero off the selected rows), n x d_z; 0 for known
-        weights. It is derived for the weights `weights` builds, D_i *
-        max(phi_i' beta, 1), whose beta-derivative is D_i 1{omega_i > 1}
-        phi_i: T = E_n[1{omega_i > 1} phi_i Z_i' psi_i] is the derivative of
-        the weighted score E_n[omega_i(beta) Z_i psi_i]. UJ_i = 1 - phi_i'
-        beta_u is the first-stage residual."""
-        fs = self.first_stage
-        if fs is None:
+        """Two-step term T' IF_i at scores psi (zero off the selected rows),
+        n x d_z, 0 for known weights: T = E_n[d omega_i / d beta psi_i Z_i'] is
+        the beta-derivative of the weighted score (Newey–McFadden 1994, §6)."""
+        if self.d_omega is None:
             return 0.0
-        moving = np.where(self.omega > 1.0, psi, 0.0)
-        T_hat = (fs.designs.phi * moving[:, None]).T @ Z / len(psi)
-        P = T_hat.T @ fs.influence                   # d_z x K
-        Uj = 1.0 - fs.designs.phi @ fs.beta_u
-        return (fs.designs.b @ P.T) * Uj[:, None]
+        return self.beta_influence @ ((self.d_omega * psi[:, None]).T @ Z / len(psi))
 
 
 def _solve_spd(M: np.ndarray, rhs: np.ndarray):
@@ -209,7 +210,12 @@ def cone_project(fit: FirstStageFit, data: ObservationSet) -> FirstStageFit:
 
 
 def weights(fit: FirstStageFit, data: ObservationSet) -> WeightVector:
-    """Observation weights omega_i = D_i * max(g_u(Y_i, X_i), 1)."""
+    """Observation weights omega_i = D_i * max(g_u(Y_i, X_i), 1) with their
+    beta-derivative rows D_i 1{omega_i > 1} phi_i and beta_u's influence rows
+    IF_i = influence b_i UJ_i, UJ_i = 1 - phi_i' beta_u the first-stage residual."""
+    phi, sel = fit.designs.phi, data.selected
     omega = np.zeros(data.n)
-    omega[data.selected] = np.maximum(fit.designs.phi[data.selected] @ fit.beta_u, 1.0)
-    return WeightVector(omega, data.selected, fit)
+    omega[sel] = np.maximum(phi[sel] @ fit.beta_u, 1.0)
+    resid = 1.0 - phi @ fit.beta_u
+    return WeightVector(omega, sel, d_omega=phi * (omega > 1.0)[:, None],
+                        beta_influence=(fit.designs.b @ fit.influence.T) * resid[:, None])

@@ -9,8 +9,8 @@ density-weighted design matrix, is estimated by sample analogs:
     Sigma = M1^-1 E_n[ M0_i M0_i' ] M1^-1 = E_n[ B_i B_i' ],  B_i = M1^-1 M0_i
 
 with f_i a kernel estimate of the conditional density of the outcome given
-(omega, Z) at the fitted quantile and C_i the first-stage term of the
-weights, `WeightVector.correction`, which is zero for known weights.
+(omega, Z) at the fitted quantile and C_i = T' IF_i the two-step term of
+estimated weights, `WeightVector.correction`, zero for known weights.
 `_density` estimates f, and `_sandwich` forms Sigma as the Gram matrix of
 the B_i, symmetric and positive semidefinite by construction.
 

@@ -6,10 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import selqr
@@ -437,6 +439,28 @@ class TestCdfCommand:
                 (-1.5e17, float("nan"), float("inf")), (2.0, 0.25, 1e16)]
         for sample in (rows, []):
             assert _cdf_csv(sample) == via_csv_writer(sample)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fit_report_of_a_written_csv_equals_the_in_memory_fit(seed):
+    # write_csv, then selqr fit, gives the fit of the in-memory sample bit
+    # for bit
+    data = generate(SimulationSpec("C", "M2", n=600, reps=1, seed=seed), 0).data
+    with tempfile.TemporaryDirectory() as tmp:
+        p, out = Path(tmp) / "d.csv", Path(tmp) / "r.json"
+        write_csv(p, data)
+        assert main(["fit", "--data", str(p), "--map", "d=d,y=y,w=w0,x=x0",
+                     "--tau", "0.25,0.5", "--estimators",
+                     "uncorrected,mar,semiparametric_iv", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+    fits = [fit(data, [0.25, 0.5], name)
+            for name in ("uncorrected", "mar", "semiparametric_iv")]
+    assert report["estimates"] == [
+        {"tau": qf.tau, "estimator": qf.estimator, "labels": list(qf.labels),
+         "theta": qf.theta.tolist(), "sigma": qf.sigma.tolist(),
+         "se": qf.se.tolist(), "ci": qf.ci.tolist(), "diagnostics": qf.diagnostics}
+        for per_tau in zip(*fits) for qf in per_tau]
 
 
 def test_fit_report_does_not_depend_on_blas_threads(tmp_path):

@@ -37,6 +37,8 @@ def envelope_sample(case):
     elif case == "ten_covariates":
         x = np.random.default_rng(0).standard_normal((base.n, 10))
         y = y + x.sum(axis=1)
+    elif case == "repeated_column":
+        w = np.column_stack([w, x[:, 0]])
     elif case == "n_at_most_k":
         return generate(SimulationSpec("C", "M2", n=6, reps=1, seed=5), 0).data
     return ObservationSet(d=d, y=y, w=w, x=x)
@@ -50,6 +52,7 @@ ENVELOPE = {
     "constant_instrument": (InputError, InputError, InputError),
     "tied_outcomes": ("finite", "finite", "finite"),
     "ten_covariates": ("finite", "finite", "finite"),
+    "repeated_column": (NumericalError, NumericalError, NumericalError),   # w1 = x0
     "n_at_most_k": ("finite", NumericalError, InputError),     # n = 6 = K
 }
 
@@ -139,9 +142,11 @@ class TestFitShapes:
                 np.linalg.eigvalsh(qf.sigma).min(), rel=1e-8)
 
 
-def test_row_permutation_invariance(dataset_m2):
-    data = dataset_m2.data
-    perm = np.random.default_rng(0).permutation(data.n)
+def m2_draw(seed):
+    return generate(SimulationSpec("C", "M2", n=600, reps=1, seed=seed), 0).data
+
+
+def assert_permutation_invariant(data, perm):
     permuted = ObservationSet(d=data.d[perm], y=data.y[perm], w=data.w[perm],
                               x=data.x[perm])
     for name in ("uncorrected", "mar", "semiparametric_iv"):
@@ -152,14 +157,23 @@ def test_row_permutation_invariance(dataset_m2):
             assert sorted(perm[list(qp.qsol.active_set)]) == sorted(qf.qsol.active_set)
 
 
-@pytest.mark.parametrize("a, b", [(3.0, 2.0), (-40.0, 0.01), (1e4, 250.0)])
-@pytest.mark.parametrize("bandwidth_mode", ["rot", "cv"])
-def test_affine_equivariance_in_y(dataset_m2, bandwidth_mode, a, b):
+def test_row_permutation_invariance(dataset_m2):
+    data = dataset_m2.data
+    assert_permutation_invariant(data, np.random.default_rng(0).permutation(data.n))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), perm_seed=st.integers(0, 2**32 - 1))
+def test_row_permutation_invariance_on_random_draws(seed, perm_seed):
+    data = m2_draw(seed)
+    assert_permutation_invariant(data, np.random.default_rng(perm_seed).permutation(data.n))
+
+
+def assert_affine_equivariant(data, a, b, bandwidth_mode="rot"):
     # y -> a + b y with b > 0 leaves the weights alone (the outcome spline's
     # knots move with y), shifts the intercept by a and scales every
     # coefficient by b; the density of the outcome scales by 1/b, so every
     # standard error scales by b
-    data = dataset_m2.data
     moved = ObservationSet(d=data.d, y=a + b * data.y, w=data.w, x=data.x)
     shift = np.zeros(data.design_z().shape[1])
     shift[data.z_labels().index("intercept")] = a
@@ -170,6 +184,19 @@ def test_affine_equivariance_in_y(dataset_m2, bandwidth_mode, a, b):
             assert_allclose(qm.theta, b * qf.theta + shift, rtol=1e-10)
             assert_allclose(qm.se, b * qf.se, rtol=1e-9)
             assert sorted(qm.qsol.active_set) == sorted(qf.qsol.active_set)
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 2.0), (-40.0, 0.01), (1e4, 250.0)])
+@pytest.mark.parametrize("bandwidth_mode", ["rot", "cv"])
+def test_affine_equivariance_in_y(dataset_m2, bandwidth_mode, a, b):
+    assert_affine_equivariant(dataset_m2.data, a, b, bandwidth_mode)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), a=st.floats(-100.0, 100.0),
+       log_b=st.floats(-2.0, 2.0))
+def test_affine_equivariance_in_y_on_random_draws(seed, a, log_b):
+    assert_affine_equivariant(m2_draw(seed), a, 10.0 ** log_b)
 
 
 @pytest.mark.parametrize("bandwidth_mode", ["rot", "cv"])

@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from numpy.testing import assert_allclose
 
-from selqr import (InputError, NumericalError, QuantileProblem, SimulationSpec,
-                   WeightVector, cone_project, default_plan,
+from selqr import (InputError, NumericalError, ObservationSet, QuantileProblem,
+                   SimulationSpec, WeightVector, cone_project, default_plan,
                    estimate_unconstrained, generate, moment_residual, solve,
                    weights)
 from selqr.activeset import kkt_residuals, solve_qp
@@ -42,6 +43,30 @@ class TestUnconstrained:
             err = np.abs(g_u[box] - g_true[box])
             assert err.mean() < 0.12
             assert err.max() < 0.40
+
+    def test_repeated_instrument_takes_the_ridge(self, monkeypatch):
+        # a second instrument equal to x0 repeats a column of b, so G does
+        # not factor; the ridged retry does, and beta_u stays within 1e-7 of
+        # the fit without the repeated column
+        data = generate(SimulationSpec("C", "M2", n=2000, reps=1, seed=3), 0).data
+        repeated = ObservationSet(d=data.d, y=data.y, x=data.x,
+                                  w=np.column_stack([data.w, data.x[:, 0]]))
+        factored = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def recording(M, *args, **kwargs):
+            try:
+                result = cho_factor(M, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                factored.append(False)
+                raise
+            factored.append(True)
+            return result
+        monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+        fit = estimate_unconstrained(repeated)
+        assert factored == [False, True, True]      # G, ridged G, H G^-1 H'
+        monkeypatch.undo()
+        assert_allclose(fit.beta_u, estimate_unconstrained(data).beta_u, rtol=1e-7)
 
     def test_moment_residual_zero_when_exactly_identified(self):
         data = toy_data(n=600, seed=10)
@@ -180,10 +205,47 @@ class TestWeights:
 
     def test_weight_vector_copies_caller_array(self):
         omega = np.array([1.0, 0.0, 2.5])
-        wv = WeightVector(omega, np.array([True, False, True]))
-        omega[0] = 7.0                  # the caller's array stays writable
+        d_omega, influence = np.ones((3, 2)), np.full((3, 2), 0.5)
+        wv = WeightVector(omega, np.array([True, False, True]), d_omega, influence)
+        for caller in (omega, d_omega, influence):
+            caller[0] = 7.0             # the caller's arrays stay writable
         assert wv.omega.tolist() == [1.0, 0.0, 2.5]
-        assert not wv.omega.flags.writeable
+        assert wv.d_omega.tolist() == [[1.0, 1.0]] * 3
+        assert wv.beta_influence.tolist() == [[0.5, 0.5]] * 3
+        for frozen in (wv.omega, wv.d_omega, wv.beta_influence):
+            assert not frozen.flags.writeable
+
+    def test_weight_vector_holds_selected_weights_to_one_exactly(self):
+        # every provider gives selected weights >= 1 exactly: the floor is
+        # max(., 1), MAR is 1 / p with p <= 1 and the complete case is d
+        flags = np.array([True, False, True])
+        WeightVector(np.array([1.0, 0.0, 1.0]), flags)      # one itself passes
+        with pytest.raises(NumericalError, match=">= 1"):
+            WeightVector(np.array([1.0 - 1e-12, 0.0, 1.0]), flags)
+
+    @pytest.mark.parametrize("d_omega, influence", [
+        (np.ones((3, 2)), None),                    # only one of the two
+        (None, np.ones((3, 2))),
+        (np.ones((3, 2)), np.ones((3, 3))),         # mismatched shapes
+        (np.ones((4, 2)), np.ones((4, 2))),         # a row count other than n
+        (np.ones(3), np.ones(3)),                   # not n x J
+    ])
+    def test_weight_vector_rejects_a_malformed_first_stage_term(self, d_omega, influence):
+        with pytest.raises(InputError, match="d_omega and beta_influence"):
+            WeightVector(np.array([1.0, 0.0, 2.5]), np.array([True, False, True]),
+                         d_omega, influence)
+
+    def test_correction_is_the_two_step_term_of_a_hand_built_record(self):
+        # T = E_n[d omega_i / d beta psi_i Z_i'], summed row by row, and the
+        # term of row i is T' IF_i
+        rng = np.random.default_rng(0)
+        n, J, d_z = 40, 3, 2
+        d_omega, influence = rng.standard_normal((n, J)), rng.standard_normal((n, J))
+        psi, Z = rng.standard_normal(n), rng.standard_normal((n, d_z))
+        wv = WeightVector(np.ones(n), np.ones(n, dtype=bool), d_omega, influence)
+        T = sum(np.outer(d_omega[i] * psi[i], Z[i]) for i in range(n)) / n
+        assert_allclose(wv.correction(psi, Z), [T.T @ f for f in influence], rtol=1e-12)
+        assert WeightVector(np.ones(n), np.ones(n, dtype=bool)).correction(psi, Z) == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_weight_vector_rejects_non_finite_weight(self, bad):

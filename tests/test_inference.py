@@ -14,7 +14,8 @@ from selqr.baselines import mar_weights
 from selqr.estimator import (ESTIMATOR_NAMES, fit, fit_semiparametric_iv,
                              fit_uncorrected)
 from selqr.inference import BLOCK_ROWS
-from selqr.first_stage import WeightVector, cone_project, estimate_unconstrained
+from selqr.first_stage import (WeightVector, cone_project, estimate_unconstrained,
+                               weights)
 from selqr.qr import quantile_score
 from selqr.simlab import SimulationSpec, generate
 from conftest import toy_data
@@ -253,8 +254,9 @@ class TestCovariance:
         resid = (data.y - data.design_z() @ theta)[active]
         assert (resid < 0).all() and (resid > -1e-12).all()
         nudged = dataclasses.replace(qsol, theta=theta)
-        for fs in (None, cone_project(estimate_unconstrained(data), data)):
-            wv = WeightVector(omega, data.selected, fs)
+        fs = cone_project(estimate_unconstrained(data), data)
+        for wv in (WeightVector(omega, data.selected),
+                   dataclasses.replace(weights(fs, data), omega=omega)):
             se, nudged_se = (np.sqrt(np.diag(covariance([q], data, wv)[0][0]) / data.n)
                              for q in (qsol, nudged))
             assert_allclose(nudged_se, se, rtol=1e-10)
@@ -272,7 +274,6 @@ class TestCovariance:
     def test_psd_before_clipping(self, dataset_m2):
         data = dataset_m2.data
         fit = cone_project(estimate_unconstrained(data), data)
-        from selqr.first_stage import weights
         wv = weights(fit, data)
         qsol = solve(QuantileProblem(Z=data.design_z(), y=data.y_filled(np.nan),
                                      w=wv.omega, tau=0.5))
@@ -287,7 +288,8 @@ class TestCovariance:
         omega = np.ones(data.n)
         qsol = solve(QuantileProblem(Z=data.design_z(), y=data.y,
                                      w=omega, tau=0.5))
-        with_corr, _ = covariance([qsol], data, WeightVector(omega, data.selected, fit))[0]
+        with_corr, _ = covariance([qsol], data,
+                                  dataclasses.replace(weights(fit, data), omega=omega))[0]
         without, _ = covariance([qsol], data, WeightVector(omega, data.selected))[0]
         assert_allclose(with_corr, without, atol=1e-8)
 
